@@ -42,6 +42,7 @@ __all__ = [
     "convergence_study",
 ]
 
+PROFILE_CACHE_SIZE = 8  # tables kept for reuse, least recently used dropped first
 _PROFILE_CACHE: dict = {}
 
 
@@ -154,14 +155,26 @@ class ClassicalHeteroclinic:
         return np.clip(out, -self.u_max, self.u_max)
 
 
-def classical_heteroclinic(W: DoubleWell, x: float, tol: float = 1e-9) -> float:
-    """Classical profile value at x; profiles are cached per (W, tol)."""
-    key = (W, float(tol))
-    prof = _PROFILE_CACHE.get(key)
+def _cached_profile(W: DoubleWell, tol: float) -> ClassicalHeteroclinic:
+    """The table for (W, tol), built on first use.
+
+    A built-in well is fixed by its kind, so every quartic() or
+    pendulum() instance shares one table; a custom well is keyed by
+    identity.  At most PROFILE_CACHE_SIZE tables are kept.
+    """
+    key = (W.kind if W.kind in ("quartic", "pendulum") else W, float(tol))
+    prof = _PROFILE_CACHE.pop(key, None)
     if prof is None:
         prof = ClassicalHeteroclinic(W, tol=tol)
-        _PROFILE_CACHE[key] = prof
-    return prof.eval(x)
+        if len(_PROFILE_CACHE) >= PROFILE_CACHE_SIZE:
+            del _PROFILE_CACHE[next(iter(_PROFILE_CACHE))]
+    _PROFILE_CACHE[key] = prof  # most recently used last
+    return prof
+
+
+def classical_heteroclinic(W: DoubleWell, x: float, tol: float = 1e-9) -> float:
+    """Classical profile value at x, from a cached table."""
+    return _cached_profile(W, tol).eval(x)
 
 
 @dataclass(frozen=True)
@@ -208,7 +221,7 @@ def convergence_study(
     if horizon < 10:
         raise PreconditionError(f"horizon must be at least 10, got {horizon}")
 
-    classical = ClassicalHeteroclinic(W, tol=1e-9)
+    classical = _cached_profile(W, 1e-9)
     rows = []
     for r in rs:
         prof = shoot_heteroclinic(r, W, symmetry="node_odd", tol=1e-7, horizon=horizon)

@@ -169,12 +169,13 @@ def _interior_values(p: DrProblem, xs: np.ndarray) -> np.ndarray:
     kb = np.maximum(kb.astype(int), 1)
 
     out = np.empty(xs.size)
-    pair_key = ku * 100000 + kb
+    # pack each (ku, kb) pair into one int64 with a base above every kb
+    base = int(kb.max()) + 1
+    pair_key = ku.astype(np.int64) * base + kb
     for key in np.unique(pair_key):
         sel = pair_key == key
         x = xs[sel]
-        m = int(key // 100000)
-        n = int(key % 100000)
+        m, n = divmod(int(key), base)
         left = alpha_v(x - m * r)
         for j in range(1, m):
             left = left - r2 * j * f_v(x - (m - j) * r)

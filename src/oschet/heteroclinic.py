@@ -23,9 +23,11 @@ Three constrained minimizations over the box [-1, 1]:
 
 Both symmetric problems are reduced to their free coordinates; reported
 values are always recomputed from the full windowed sum on the assembled
-profile.  Minimization is projected gradient descent with Armijo
-backtracking from several deterministic starts, polished by damped
-per-coordinate Newton sweeps on the stationarity system.
+profile.  All three are one box problem whose Hessian is tridiagonal,
+(s/r^2) tridiag(-1, 2, -1) + s diag(W''), and they share one projected
+Newton method (Bertsekas 1982) run from several deterministic starts:
+a Thomas solve on the free sites, a Levenberg shift where W'' < 0 makes
+that block indefinite, and an Armijo search along the projection arc.
 
 shoot_heteroclinic integrates the recurrence directly and bisects on the
 first free value until the orbit lands on the well at +1, which produces
@@ -47,7 +49,7 @@ from .errors import (
     PreconditionError,
     UnsupportedOperationError,
 )
-from .potential import DoubleWell, eval_dw, eval_dw_array, eval_w, eval_w_array
+from .potential import DoubleWell, eval_dw, eval_dw_array, eval_w_array
 from .sampled import SampledFunction, snap_count
 
 __all__ = [
@@ -149,14 +151,17 @@ class LatticeProfile:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for the constrained minimizers; defaults fit K up to ~64."""
+    """Knobs for the projected Newton minimizer.
+
+    tol bounds the EL residual of a converged start and max_iters the Newton
+    iterations summed over all starts: multistart of ramp, steps and seeded
+    random profiles, then extra_starts.
+    """
 
     tol: float = 1e-10
     max_iters: int = 100_000
     multistart: int = 8
     seed: int = 0
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
     extra_starts: Tuple = ()
 
 
@@ -228,105 +233,74 @@ def recurrence_step(u_n: float, u_np1: float, r: float, W: DoubleWell) -> float:
 # ---------------------------------------------------------------------------
 
 
+# flavor -> (free sites K - drop, objective scale s, left anchor a, anchor weight lam)
+_FLAVORS = {"plain": (0, 1.0, -1.0, 1.0), "node": (1, 2.0, 0.0, 1.0), "bond": (1, 2.0, 0.0, 2.0)}
+
+ARMIJO_C = 1e-4  # sufficient-decrease fraction along the projection arc
+BACKTRACK = 0.5  # step shrink factor per failed Armijo trial
+MIN_STEP = 1e-12  # smallest arc step tried before a start counts as stalled
+ACTIVE_EPS = 1e-6  # cap on the Bertsekas epsilon band next to the bounds
+PIVOT_FLOOR = 1e-8  # Thomas pivots below this times s/r^2 call for a shift
+LEVENBERG_START = 1e-6  # first Levenberg shift, in units of s/r^2
+ROUNDOFF = 1e-14  # relative objective change that rounding alone can produce
+STALL_ITERS = 25  # a start whose decrease stays at roundoff this long has stalled
+FD_STEP = 1e-6  # central-difference step for W'' from W'
+
+
 class _BoxProblem:
-    """Reduced coordinates, gradient, and profile assembly for one problem."""
+    """All three flavors as one problem on the free sites z in [-1, 1]^d.
+
+    Up to a constant each minimizes, with w = (z, 1) pinned at +1 on the right,
+    s [(lam (z_0 - a)^2 + sum_i (w_{i+1} - w_i)^2) / (2 r^2) + sum_i W(z_i)].
+    node doubles the mirrored half; bond's reflection w_{-1} = -z_0 counts its
+    central square once, hence lam = 2.  The Hessian is tridiagonal: -s / r^2
+    off the diagonal, s (2 / r^2 + W'') on it, plus s (lam - 1) / r^2 at z_0.
+    """
 
     def __init__(self, K: int, r: float, W: DoubleWell, flavor: str):
+        drop, self.s, self.a, self.lam = _FLAVORS[flavor]
         self.K = K
         self.r = r
         self.W = W
         self.flavor = flavor
-        if flavor == "plain":
-            self.dim = K
-        else:
-            self.dim = K - 1
+        self.dim = K - drop
         self.inv_r2 = 1.0 / (r * r)
         # EL residual on the profile equals res_scale * |reduced gradient|
-        self.res_scale = r * r if flavor == "plain" else 0.5 * r * r
-
-    def _padded(self, z: np.ndarray) -> np.ndarray:
-        """Free coordinates with their immediate pinned neighbours."""
-        if self.flavor == "plain":
-            return np.concatenate(([-1.0], z, [1.0]))
-        if self.flavor == "node":
-            return np.concatenate(([0.0], z, [1.0]))
-        # bond: left neighbour of z_0 is -z_0, right end pinned at 1
-        return np.concatenate(([-z[0]], z, [1.0]))
+        self.res_scale = r * r / self.s
 
     def objective(self, z: np.ndarray) -> float:
-        w = self._padded(z)
-        d = np.diff(w)
-        kin = float(np.sum(d * d))
-        pot = float(np.sum(eval_w_array(self.W, z)))
-        if self.flavor == "plain":
-            return 0.5 * self.inv_r2 * kin + pot
-        if self.flavor == "node":
-            return self.inv_r2 * kin + 2.0 * pot + eval_w(self.W, 0.0)
-        # bond: the first padded diff contributes (2 z_0)^2 but the full
-        # windowed sum weights that central square by 1/(2 r^2) once, i.e.
-        # 2 z_0^2 in these units, so drop half of it
-        return self.inv_r2 * (kin - 2.0 * z[0] * z[0]) + 2.0 * pot
+        d = np.diff(z, append=1.0)
+        kin = self.lam * (z[0] - self.a) ** 2 + float(d @ d)
+        return self.s * (0.5 * self.inv_r2 * kin + float(np.sum(eval_w_array(self.W, z))))
 
-    def grad(self, z: np.ndarray) -> np.ndarray:
-        w = self._padded(z)
-        lap = 2.0 * w[1:-1] - w[:-2] - w[2:]
-        dw = eval_dw_array(self.W, z)
-        if self.flavor == "plain":
-            return self.inv_r2 * lap + dw
-        g = 2.0 * self.inv_r2 * lap + 2.0 * dw
-        if self.flavor == "bond":
-            # left neighbour -z_0 depends on z_0 itself
-            g[0] = 2.0 * self.inv_r2 * (3.0 * z[0] - w[2]) + 2.0 * dw[0]
-        return g
-
-    def local_grad_diag(self, z: np.ndarray, i: int):
-        """Gradient component i and its curvature, from the local stencil."""
-        dw = self.W.dw
-        zi = float(z[i])
-        eps = 1e-6
-        d2w = (float(dw(zi + eps)) - float(dw(zi - eps))) / (2.0 * eps)
-        if self.flavor == "plain":
-            left = -1.0 if i == 0 else float(z[i - 1])
-            right = 1.0 if i == self.dim - 1 else float(z[i + 1])
-            g = self.inv_r2 * (2.0 * zi - left - right) + float(dw(zi))
-            return g, 2.0 * self.inv_r2 + d2w
-        right = 1.0 if i == self.dim - 1 else float(z[i + 1])
-        if self.flavor == "bond" and i == 0:
-            g = 2.0 * self.inv_r2 * (3.0 * zi - right) + 2.0 * float(dw(zi))
-            return g, 6.0 * self.inv_r2 + 2.0 * d2w
-        if self.flavor == "node":
-            left = 0.0 if i == 0 else float(z[i - 1])
-        else:
-            left = float(z[i - 1])
-        g = 2.0 * self.inv_r2 * (2.0 * zi - left - right) + 2.0 * float(dw(zi))
-        return g, 4.0 * self.inv_r2 + 2.0 * d2w
+    def grad_curv(self, z: np.ndarray):
+        """Gradient and s * W''(z), the potential's part of the Hessian diagonal."""
+        n = z.size
+        # z_0's left neighbour: -1 (plain), 0 (node) or the reflection -z_0 (bond)
+        left = np.concatenate((((1.0 - self.lam) * z[0] + self.lam * self.a,), z[:-1]))
+        right = np.append(z[1:], 1.0)
+        dw = eval_dw_array(self.W, np.concatenate((z, z + FD_STEP, z - FD_STEP)))
+        grad = self.s * (self.inv_r2 * (2.0 * z - left - right) + dw[:n])
+        return grad, self.s * (dw[n : 2 * n] - dw[2 * n :]) / (2.0 * FD_STEP)
 
     def profile(self, z: np.ndarray) -> LatticeProfile:
         K = self.K
+        pos = np.append(z, 1.0)
         if self.flavor == "plain":
-            vals = np.concatenate(([-1.0], z, [1.0]))
-            return LatticeProfile(self.r, 0, K + 1, vals, "none")
+            return LatticeProfile(self.r, 0, K + 1, np.concatenate(([-1.0], pos)), "none")
         if self.flavor == "node":
-            pos = np.concatenate(([0.0], z, [1.0]))  # w_0..w_K
-            vals = np.concatenate((-pos[1:][::-1], pos))
+            vals = np.concatenate((-pos[::-1], [0.0], pos))
             return LatticeProfile(self.r, -K, K, vals, "node_odd")
-        pos = np.concatenate((z, [1.0]))  # z_0..z_{K-1}
-        vals = np.concatenate((-pos[::-1], pos))
-        return LatticeProfile(self.r, -K, K - 1, vals, "bond_odd")
+        return LatticeProfile(self.r, -K, K - 1, np.concatenate((-pos[::-1], pos)), "bond_odd")
 
     def full_value(self, z: np.ndarray) -> float:
         p = self.profile(z)
-        if self.flavor == "plain":
-            return discrete_energy(p, self.W, 0, self.K)
-        return discrete_energy(p, self.W, -self.K, self.K)
+        return discrete_energy(p, self.W, p.n_min, self.K)
 
     def ramp_start(self) -> np.ndarray:
-        K = self.K
-        if self.flavor == "plain":
-            return -1.0 + 2.0 * np.arange(1, K + 1) / (K + 1)
-        if self.flavor == "node":
-            return np.arange(1, K) / K
-        return (2.0 * np.arange(K - 1) + 1.0) / (2.0 * K - 1.0)
+        """Linear from the left anchor (half a site left of z_0 for bond) to +1."""
+        lead = 1.0 - 0.5 * (self.lam - 1.0)
+        return self.a + (1.0 - self.a) * (np.arange(self.dim) + lead) / (self.dim + lead)
 
     def starts(self, opts: SolverOptions):
         d = self.dim
@@ -348,79 +322,101 @@ class _BoxProblem:
 
 
 def _projected_residual(g: np.ndarray, z: np.ndarray) -> float:
-    blocked_lo = (z <= -1.0) & (g > 0.0)
-    blocked_hi = (z >= 1.0) & (g < 0.0)
-    eff = np.where(blocked_lo | blocked_hi, 0.0, g)
-    return float(np.max(np.abs(eff))) if eff.size else 0.0
+    blocked = ((z <= -1.0) & (g > 0.0)) | ((z >= 1.0) & (g < 0.0))
+    return float(np.max(np.abs(np.where(blocked, 0.0, g))))
 
 
-def _pgd(problem: _BoxProblem, z: np.ndarray, opts: SolverOptions, budget: int):
-    """Projected gradient descent with Armijo backtracking."""
+def _thomas(diag: list, off: list, rhs: list, floor: float):
+    """LDL^T solve of a symmetric tridiagonal system; off[i] couples i and i+1.
+
+    Returns None once a pivot falls to floor: the matrix is not safely definite.
+    """
+    piv, x = diag[:], rhs[:]
+    for i in range(len(piv)):
+        if i:
+            m = off[i - 1] / piv[i - 1]
+            piv[i] -= m * off[i - 1]
+            x[i] -= m * x[i - 1]
+        if piv[i] <= floor:
+            return None
+    x[-1] /= piv[-1]
+    for i in range(len(piv) - 2, -1, -1):
+        x[i] = (x[i] - off[i] * x[i + 1]) / piv[i]
+    return x
+
+
+def _newton_direction(problem: _BoxProblem, g, curv, active):
+    """Newton step on the free sites, scaled gradient step on the active ones.
+
+    Active rows are decoupled, so one Thomas solve serves both.  An indefinite
+    free block is retried with a Levenberg shift growing tenfold from
+    LEVENBERG_START s / r^2; once it covers max(-s W'') every pivot is >= s / r^2.
+    """
+    unit = problem.s * problem.inv_r2
+    diag = np.where(active, 0.0, curv) + 2.0 * unit
+    diag[0] += (problem.lam - 1.0) * unit
+    off = np.full(g.size - 1, -unit)
+    off[active[:-1] | active[1:]] = 0.0
+    off, rhs = off.tolist(), (-g).tolist()
+    shift = 0.0
+    while True:
+        d = _thomas((diag + shift).tolist(), off, rhs, PIVOT_FLOOR * unit)
+        if d is not None:
+            return np.asarray(d)
+        shift = max(10.0 * shift, LEVENBERG_START * unit)
+
+
+def _descend(problem: _BoxProblem, z: np.ndarray, tol: float, budget: int):
+    """Projected Newton from one start (Bertsekas, SIAM J. Control Optim. 1982).
+
+    Each iteration takes the epsilon-active set, eps = min(ACTIVE_EPS,
+    |z - P(z - r^2 g / s)|), and backtracks along the projection arc
+    P(z + t d) until the Armijo decrease holds, or, once the objective
+    moves only at roundoff (as near a well), until the projected gradient
+    shrinks.  Stops at tol, at the budget, or after STALL_ITERS steps of
+    roundoff-sized decrease.  Returns the final point and iterations used.
+    """
     z = np.clip(z, -1.0, 1.0)
-    obj = problem.objective(z)
-    alpha = problem.r * problem.r / 4.0
-    stop = max(opts.tol, 1e-8) / problem.res_scale
+    f = problem.objective(z)
+    g, curv = problem.grad_curv(z)
+    res = _projected_residual(g, z)
+    stop = tol / problem.res_scale
     iters = 0
-    while iters < budget:
-        g = problem.grad(z)
-        if _projected_residual(g, z) < stop:
-            break
+    quiet = 0  # consecutive iterations whose decrease was at roundoff
+    while iters < budget and res >= stop and quiet < STALL_ITERS:
         iters += 1
-        while True:
-            cand = np.clip(z - alpha * g, -1.0, 1.0)
-            step = cand - z
-            if not np.any(step):
-                alpha = 0.0
-                break
-            cand_obj = problem.objective(cand)
-            decrease = obj - cand_obj
-            if decrease >= opts.armijo_c / max(alpha, 1e-300) * float(step @ step):
-                z, obj = cand, cand_obj
-                alpha *= 1.4
-                break
-            alpha *= opts.backtrack
-            if alpha < 1e-14:
-                break
-        if alpha < 1e-14:
-            break
-        alpha = min(alpha, 1e3)
+        pg = z - np.clip(z - problem.res_scale * g, -1.0, 1.0)
+        eps = min(ACTIVE_EPS, math.sqrt(float(pg @ pg)))
+        active = ((z <= -1.0 + eps) & (g > 0.0)) | ((z >= 1.0 - eps) & (g < 0.0))
+        d = _newton_direction(problem, g, curv, active)
+        free_slope = float(g[~active] @ d[~active])
+        t = 1.0
+        while t >= MIN_STEP:
+            trial = np.clip(z + t * d, -1.0, 1.0)
+            f_trial = problem.objective(trial)
+            want = ARMIJO_C * (float(g[active] @ (z[active] - trial[active])) - t * free_slope)
+            armijo = f - f_trial >= want
+            if armijo or abs(f - f_trial) <= ROUNDOFF * abs(f):
+                g_trial, curv_trial = problem.grad_curv(trial)
+                if armijo or _projected_residual(g_trial, trial) < res:
+                    break
+            t *= BACKTRACK
+        else:
+            break  # no acceptable step: stalled at roundoff
+        quiet = quiet + 1 if f - f_trial <= ROUNDOFF * abs(f) else 0
+        z, f, g, curv = trial, f_trial, g_trial, curv_trial
+        res = _projected_residual(g, z)
     return z, iters
 
 
-def _newton_sweeps(problem: _BoxProblem, z: np.ndarray, opts: SolverOptions, budget: int):
-    """Gauss-Seidel sweeps of damped coordinate Newton on the gradient."""
-    z = z.copy()
-    sweeps = 0
-    while sweeps < budget:
-        sweeps += 1
-        for i in range(problem.dim):
-            g_i, diag_i = problem.local_grad_diag(z, i)
-            step = -g_i / max(diag_i, 1e-8)
-            step = min(max(step, -0.25), 0.25)
-            z[i] = min(max(z[i] + step, -1.0), 1.0)
-        g = problem.grad(z)
-        if _projected_residual(g, z) * problem.res_scale < opts.tol:
-            break
-    return z, sweeps
-
-
 def _minimize(problem: _BoxProblem, opts: SolverOptions) -> SolveReport:
-    if problem.W.dw is None:
-        raise UnsupportedOperationError("minimization needs a potential derivative")
     candidates = []
     total_iters = 0
-    pgd_budget = 4000
-    sweep_budget = 400
     for z0 in problem.starts(opts):
         if total_iters >= opts.max_iters:
             break
-        z, used = _pgd(problem, z0, opts, min(pgd_budget, opts.max_iters - total_iters))
+        z, used = _descend(problem, z0, opts.tol, opts.max_iters - total_iters)
         total_iters += used
-        if total_iters < opts.max_iters:
-            z, sweeps = _newton_sweeps(
-                problem, z, opts, min(sweep_budget, opts.max_iters - total_iters)
-            )
-            total_iters += sweeps
         prof = problem.profile(z)
         res = el_residual(prof, problem.W)
         val = problem.full_value(z)

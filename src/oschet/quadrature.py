@@ -1,21 +1,32 @@
 """Adaptive Simpson quadrature for scalar integrands.
 
 Small and dependency free; both the potential constant c_W and the
-classical profile tables integrate through this routine.
+classical profile tables integrate through this routine.  Every call
+stops after MAX_EVALS integrand evaluations: an integrand the rule
+cannot resolve (say sin(1e6 t) over [0, 1]) raises ConvergenceError
+instead of refining for minutes.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
+
+MAX_EVALS = 200_000  # integrand evaluations allowed per call
 
 
 def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
     return width * (fa + 4.0 * fm + fb) / 6.0
 
 
-def _adapt(f, a, fa, m, fm, b, fb, whole, tol, depth):
+def _adapt(f, a, fa, m, fm, b, fb, whole, tol, depth, budget):
+    budget[0] -= 2
+    if budget[0] < 0:
+        raise ConvergenceError(
+            f"adaptive Simpson stopped after {MAX_EVALS} integrand evaluations "
+            "without meeting its tolerance"
+        )
     lm = 0.5 * (a + m)
     rm = 0.5 * (m + b)
     flm = f(lm)
@@ -26,8 +37,8 @@ def _adapt(f, a, fa, m, fm, b, fb, whole, tol, depth):
     if depth <= 0 or abs(err) <= 15.0 * tol:
         return left + right + err / 15.0
     half = 0.5 * tol
-    return _adapt(f, a, fa, lm, flm, m, fm, left, half, depth - 1) + _adapt(
-        f, m, fm, rm, frm, b, fb, right, half, depth - 1
+    return _adapt(f, a, fa, lm, flm, m, fm, left, half, depth - 1, budget) + _adapt(
+        f, m, fm, rm, frm, b, fb, right, half, depth - 1, budget
     )
 
 
@@ -41,6 +52,10 @@ def adaptive_simpson(
         a, b: integration limits, a <= b.
         tol: absolute tolerance target for the whole interval.
         max_depth: recursion cap; hitting it returns the best local estimate.
+
+    Raises:
+        ConvergenceError: the refinement needed more than MAX_EVALS
+            evaluations of f.
     """
     if not (tol > 0.0):
         raise DomainError(f"quadrature tolerance must be positive, got {tol}")
@@ -51,4 +66,4 @@ def adaptive_simpson(
     m = 0.5 * (a + b)
     fa, fm, fb = f(a), f(m), f(b)
     whole = _simpson(fa, fm, fb, b - a)
-    return _adapt(f, a, fa, m, fm, b, fb, whole, tol, max_depth)
+    return _adapt(f, a, fa, m, fm, b, fb, whole, tol, max_depth, [MAX_EVALS - 3])

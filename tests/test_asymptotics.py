@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from oschet import asymptotics
 from oschet.asymptotics import (
     ClassicalHeteroclinic,
     ConvergenceTable,
@@ -94,6 +95,29 @@ def test_point_evaluator_caches_tables():
     v1 = classical_heteroclinic(W, 1.0)
     v2 = classical_heteroclinic(W, 1.0)
     assert v1 == v2 == pytest.approx(math.tanh(1.0 / (2 * math.sqrt(2))), abs=1e-15)
+
+
+def test_point_evaluator_shares_tables_between_equal_wells(monkeypatch):
+    built = []
+
+    class Counted(asymptotics.ClassicalHeteroclinic):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "ClassicalHeteroclinic", Counted)
+    # a tol no other test uses, so no table for it is cached yet
+    for x in (0.5, 1.0, 1.5, 2.0, 2.5):
+        classical_heteroclinic(quartic(), x, tol=2.5e-9)
+    assert len(built) == 1
+
+
+def test_profile_cache_is_bounded():
+    for i in range(3 * asymptotics.PROFILE_CACHE_SIZE):
+        height = 1.0 + 0.01 * i
+        W = custom(lambda t, c=height: c * (1.0 - t * t) ** 2 / 4.0)
+        classical_heteroclinic(W, 0.5)
+    assert len(asymptotics._PROFILE_CACHE) <= asymptotics.PROFILE_CACHE_SIZE
 
 
 def test_profile_rejects_bad_arguments():

@@ -283,3 +283,12 @@ def test_problem_validation():
         DrProblem(a=0.0, b=1.0, r=-0.25, alpha=zero, beta=zero, f=zero)
     with pytest.raises(PreconditionError):
         DrProblem(a=0.0, b=1.0, r=0.25, alpha=3.0, beta=zero, f=zero)
+
+
+def test_step_count_pairs_do_not_collide_at_large_kbar():
+    # kunder = 1 and kbar = 100000: a packed key ku * 100000 + kb would
+    # decode this pair as (2, 0) and return beta alone
+    p = DrProblem(a=0.0, b=1.0, r=1e-5, alpha=zero, beta=lambda x: 1.0 + 0.0 * np.asarray(x), f=zero)
+    x = 0.5e-5
+    assert (kunder(x, 0.0, 1.0, 1e-5), kbar(x, 0.0, 1.0, 1e-5)) == (1, 100000)
+    assert solve_dr_explicit(p, x) == pytest.approx(1.0 / (1.0 + 100000.0), rel=1e-12)

@@ -178,6 +178,37 @@ def test_warm_start_is_accepted_and_used():
     assert abs(warm.value - base.value) < 1e-10
 
 
+def test_plain_window_converges_in_few_newton_iterations():
+    # eight starts share the count, each converging in tens of Newton steps
+    report = solve_discrete_dirichlet(16, 0.5, quartic())
+    assert report.converged
+    assert report.iterations <= 500
+
+
+def test_start_with_indefinite_hessian_reaches_the_minimum():
+    W = quartic()
+    r = 2.0
+    # at z = 0 the Hessian (1/r^2) tridiag(-1, 2, -1) + W''(0) I is
+    # negative definite, so the first Newton solve needs the Levenberg shift
+    lap = 2 * np.eye(4) - np.eye(4, k=1) - np.eye(4, k=-1)
+    assert np.max(np.linalg.eigvalsh(lap / r**2 - np.eye(4))) < 0.0
+    base = solve_discrete_dirichlet(4, r, W)
+    from_zero = solve_discrete_dirichlet(
+        4, r, W, SolverOptions(multistart=1, extra_starts=(np.zeros(4),))
+    )
+    assert base.converged and from_zero.converged
+    assert abs(from_zero.value - base.value) < 1e-12
+
+
+def test_large_window_still_converges():
+    W = quartic()
+    report = solve_symmetric_node(128, 0.25, W)
+    assert report.converged
+    assert report.el_residual <= 1e-10
+    # the connection fits well inside the window: doubling it changes nothing
+    assert abs(report.value - solve_symmetric_node(64, 0.25, W).value) < 1e-10
+
+
 def test_solver_rejects_bad_arguments():
     W = quartic()
     with pytest.raises(PreconditionError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oschet.errors import DomainError, UnsupportedOperationError
+from oschet.errors import ConvergenceError, DomainError, UnsupportedOperationError
 from oschet.potential import (
     DoubleWell,
     compute_cw,
@@ -125,6 +125,13 @@ def test_custom_without_derivative_raises_on_dw():
     assert eval_w(W, 0.0) == 0.25
     with pytest.raises(UnsupportedOperationError):
         eval_dw(W, 0.0)
+
+
+def test_custom_well_too_rough_to_integrate_fails_typed():
+    # c_w is integrated at construction; the quadrature's evaluation cap
+    # turns an unresolvable integrand into a ConvergenceError (CLI exit 3)
+    with pytest.raises(ConvergenceError):
+        custom(lambda t: (1 - t * t) ** 2 / 4 + 0.1 * math.sin(1e6 * t))
 
 
 def test_validation_passes_builtins():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oschet.errors import DomainError
+from oschet import quadrature
+from oschet.errors import ConvergenceError, DomainError
 from oschet.quadrature import adaptive_simpson
 
 
@@ -26,6 +27,21 @@ def test_rapidly_varying_integrand():
     val = adaptive_simpson(lambda t: math.exp(-50.0 * t * t), -1.0, 1.0, tol=1e-12)
     exact = math.sqrt(math.pi / 50.0) * math.erf(math.sqrt(50.0))
     assert abs(val - exact) < 1e-11
+
+
+def test_unresolvable_integrand_stops_at_the_evaluation_cap():
+    calls = 0
+
+    def f(t):
+        nonlocal calls
+        calls += 1
+        if calls > 10_000_000:
+            raise RuntimeError("quadrature kept refining past ten million calls")
+        return math.sin(1e6 * t)
+
+    with pytest.raises(ConvergenceError):
+        adaptive_simpson(f, 0.0, 1.0)
+    assert calls <= quadrature.MAX_EVALS
 
 
 def test_zero_width_interval():
