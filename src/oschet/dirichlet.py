@@ -9,20 +9,26 @@ counts
 
     kunder(x) = ceil((x - a) / r),    kbar(x) = ceil((b - x) / r),
 
-the solution at an interior x is the convex combination
+N = kunder + kbar and c = x - kunder*r the left-collar point of the
+chain through x, the solution at an interior x is
 
-    u(x) = kbar/(kbar+kunder) * [alpha(x - kunder*r)
-              - r^2 * sum_{j=1}^{kunder-1} j * f(x - (kunder - j) r)]
-         + kunder/(kbar+kunder) * [beta(x + kbar*r)
-              - r^2 * sum_{j=1}^{kbar-1} j * f(x + (kbar - j) r)]
-         - r^2 * kunder*kbar/(kbar+kunder) * f(x),
+    u(x) = (kbar * alpha(c) + kunder * beta(x + kbar*r)) / N
+         - (r^2 / N) * sum_{q=1}^{N-1} min(q, kunder) * min(N - q, kbar)
+                                        * f(c + q r),
 
-i.e. the two-sided discrete Green's function along the arithmetic chain
-x + r Z clipped to (a, b).  The chain through x only notices the data at
-the two clipped ends, so u is in general discontinuous across the null
-set (a + r N) union (b - r N); ceilings are snapped to the nearest
-integer at absolute tolerance 1e-12 so near-lattice arguments evaluate
-on their lattice chain.
+the two-sided discrete Green's function along the arithmetic chain
+x + r Z clipped to (a, b): the collar values are interpolated linearly
+in the chain index and the source enters with the Green's weights.  The
+chain through x only notices the data at the two clipped ends, so u is
+in general discontinuous across the null set (a + r N) union (b - r N);
+ceilings are snapped to the nearest integer at absolute tolerance 1e-12
+so near-lattice arguments evaluate on their lattice chain.
+
+Every evaluation, collars included, goes through one array evaluator
+that sums the formula along each point's chain in row blocks of about
+max(points, N) entries, so memory stays linear in the number of points
+plus the chain length; DrProblem rejects chains of more than MAX_CHAIN
+links.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from typing import Callable, List, Optional, Union
 import numpy as np
 
 from .errors import DomainError, PreconditionError
+from .potential import _vectorized
 from .sampled import SampledFunction
 
 __all__ = [
@@ -53,54 +60,40 @@ __all__ = [
 
 CEIL_SNAP = 1e-12
 GOLDEN_FRAC = 0.6180339887498949
+# The evaluator holds a whole chain of (b - a)/r links in each row of its
+# work arrays: at a million links one point takes about 60 ms and 40 MB, and
+# both grow linearly below that r, so finer r is rejected as input.
+MAX_CHAIN = 1e6
 
 Data = Union[Callable, SampledFunction]
 
 
-def _as_scalar(data: Data) -> Callable:
+def _values(data, xs: np.ndarray) -> np.ndarray:
+    """Evaluate Dirichlet data or a solution at a 1-D array of points."""
     if isinstance(data, SampledFunction):
-        return lambda x: data.eval(x, extend=True)
+        return data.eval_array(xs, extend=True)
     if isinstance(data, DrSolution):
-        return data.eval
+        return _solve_points(data.problem, xs)
     if callable(data):
-        return lambda x: float(data(x))
+        return _vectorized(data, xs)
     raise PreconditionError(f"expected a callable or SampledFunction, got {type(data)!r}")
 
 
-def _as_vector(data: Data) -> Callable:
-    if isinstance(data, SampledFunction):
-        return lambda xs: np.asarray(data.eval_array(xs, extend=True), dtype=float)
-
-    def vec(xs):
-        xs = np.asarray(xs, dtype=float)
-        try:
-            out = np.asarray(data(xs), dtype=float)
-            if out.shape == xs.shape:
-                return out
-        except (TypeError, ValueError):
-            pass
-        return np.array([float(data(float(x))) for x in xs])
-
-    return vec
-
-
-def _snap_ceil(t: float) -> int:
-    k = round(t)
-    if abs(t - k) <= CEIL_SNAP:
-        return int(k)
-    return int(math.ceil(t))
+def _steps(t):
+    """ceil(t), at least 1, with t within CEIL_SNAP of an integer snapped to it."""
+    return np.maximum(np.ceil(t - CEIL_SNAP), 1).astype(np.int64)
 
 
 def kunder(x: float, a: float, b: float, r: float) -> int:
     """Number of r-steps from x down to the left collar, at least 1."""
     _check_interior(x, a, b, r)
-    return max(1, _snap_ceil((x - a) / r))
+    return int(_steps((x - a) / r))
 
 
 def kbar(x: float, a: float, b: float, r: float) -> int:
     """Number of r-steps from x up to the right collar, at least 1."""
     _check_interior(x, a, b, r)
-    return max(1, _snap_ceil((b - x) / r))
+    return int(_steps((b - x) / r))
 
 
 def _check_interior(x: float, a: float, b: float, r: float) -> None:
@@ -116,8 +109,8 @@ def dr_apply(u: Data, x: float, r: float) -> float:
     """Evaluate (u(x+r) + u(x-r) - 2 u(x)) / r^2."""
     if not (r > 0.0 and math.isfinite(r)):
         raise DomainError(f"step r must be positive and finite, got {r}")
-    g = _as_scalar(u)
-    return (float(g(x + r)) + float(g(x - r)) - 2.0 * float(g(x))) / (r * r)
+    up, down, mid = _values(u, np.array([x + r, x - r, x], dtype=float))
+    return float((up + down - 2.0 * mid) / (r * r))
 
 
 @dataclass(eq=False)
@@ -126,7 +119,8 @@ class DrProblem:
 
     alpha lives on the left collar [a - r, a], beta on the right collar
     [b, b + r], f on (a, b); each may be a callable or a SampledFunction
-    covering its band.
+    covering its band.  The chain length (b - a)/r may not exceed
+    MAX_CHAIN.
     """
 
     a: float
@@ -144,6 +138,11 @@ class DrProblem:
             raise PreconditionError(f"need a < b, got a={self.a}, b={self.b}")
         if not (self.r > 0.0 and math.isfinite(self.r)):
             raise PreconditionError(f"step r must be positive, got {self.r}")
+        if (self.b - self.a) / self.r > MAX_CHAIN:
+            raise PreconditionError(
+                f"(b - a)/r = {(self.b - self.a) / self.r:.3g} chain links exceed "
+                f"the limit of {MAX_CHAIN:.0e}; use a larger r"
+            )
         for name in ("alpha", "beta", "f"):
             data = getattr(self, name)
             if not (callable(data) or isinstance(data, SampledFunction)):
@@ -153,38 +152,54 @@ class DrProblem:
 
 
 def _interior_values(p: DrProblem, xs: np.ndarray) -> np.ndarray:
-    """Vectorized interior formula, grouped by the step-count pair."""
-    xs = np.asarray(xs, dtype=float)
-    alpha_v = _as_vector(p.alpha)
-    beta_v = _as_vector(p.beta)
-    f_v = _as_vector(p.f)
+    """The Green's-function formula at interior points xs.
+
+    Row i of a (points x q) array holds the chain of xs[i]: the source
+    term q = 1..N-1 sits at xs[i] + (q - kunder)*r, and the sum runs
+    along q.  Rows are taken in blocks of about max(xs.size, N) entries,
+    so memory stays linear in the number of points plus the chain length,
+    and f is called once per block.  N takes at most two neighbouring
+    values over (a, b); entries past a row's own N - 1 get weight 0 and
+    evaluate f at x itself, so f only ever sees points of the chains.
+    """
     r = p.r
-    r2 = r * r
+    ku = _steps((xs - p.a) / r)
+    kb = _steps((p.b - xs) / r)
+    n = ku + kb
+    total = kb * _values(p.alpha, xs - ku * r) + ku * _values(p.beta, xs + kb * r)
+    width = int(n.max()) - 1
+    rows = max(1, xs.size // width)
+    q = np.arange(1, width + 1)
+    for s in range(0, xs.size, rows):
+        x, m, k, tot = (v[s : s + rows, None] for v in (xs, ku, kb, n))
+        weight = np.minimum(q, m) * np.maximum(np.minimum(tot - q, k), 0)
+        at = np.where(weight > 0, x + (q - m) * r, x)
+        fv = _values(p.f, at.ravel()).reshape(at.shape)
+        total[s : s + rows] -= r * r * np.sum(weight * fv, axis=1)
+    return total / n
 
-    tu = (xs - p.a) / r
-    tb = (p.b - xs) / r
-    ku = np.where(np.abs(tu - np.round(tu)) <= CEIL_SNAP, np.round(tu), np.ceil(tu))
-    kb = np.where(np.abs(tb - np.round(tb)) <= CEIL_SNAP, np.round(tb), np.ceil(tb))
-    ku = np.maximum(ku.astype(int), 1)
-    kb = np.maximum(kb.astype(int), 1)
 
-    out = np.empty(xs.size)
-    # pack each (ku, kb) pair into one int64 with a base above every kb
-    base = int(kb.max()) + 1
-    pair_key = ku.astype(np.int64) * base + kb
-    for key in np.unique(pair_key):
-        sel = pair_key == key
-        x = xs[sel]
-        m, n = divmod(int(key), base)
-        left = alpha_v(x - m * r)
-        for j in range(1, m):
-            left = left - r2 * j * f_v(x - (m - j) * r)
-        right = beta_v(x + n * r)
-        for j in range(1, n):
-            right = right - r2 * j * f_v(x + (n - j) * r)
-        tot = float(m + n)
-        out[sel] = (n * left + m * right) / tot - r2 * (m * n / tot) * f_v(x)
-    return out
+def _solve_points(p: DrProblem, xs: np.ndarray) -> np.ndarray:
+    """Solution values at points of [a - r, b + r]: collar data or the formula."""
+    xs = np.asarray(xs, dtype=float)
+    pad = CEIL_SNAP * max(1.0, abs(p.a), abs(p.b))
+    outside = ~((xs >= p.a - p.r - pad) & (xs <= p.b + p.r + pad))
+    if outside.any():
+        raise DomainError(
+            f"x={float(xs[outside][0])} outside the solution domain "
+            f"[{p.a - p.r}, {p.b + p.r}]"
+        )
+    vals = np.empty(xs.size)
+    left = xs <= p.a
+    right = xs >= p.b
+    inner = ~(left | right)
+    if left.any():
+        vals[left] = _values(p.alpha, xs[left])
+    if right.any():
+        vals[right] = _values(p.beta, xs[right])
+    if inner.any():
+        vals[inner] = _interior_values(p, xs[inner])
+    return vals
 
 
 def solve_dr_explicit(p: DrProblem, x: float) -> float:
@@ -193,17 +208,7 @@ def solve_dr_explicit(p: DrProblem, x: float) -> float:
     Collar points return their own data; interior points use the
     closed-form chain formula.
     """
-    x = float(x)
-    pad = CEIL_SNAP * max(1.0, abs(p.a), abs(p.b))
-    if x < p.a - p.r - pad or x > p.b + p.r + pad:
-        raise DomainError(
-            f"x={x} outside the solution domain [{p.a - p.r}, {p.b + p.r}]"
-        )
-    if x <= p.a:
-        return float(_as_scalar(p.alpha)(x))
-    if x >= p.b:
-        return float(_as_scalar(p.beta)(x))
-    return float(_interior_values(p, np.array([x]))[0])
+    return float(_solve_points(p, np.array([float(x)]))[0])
 
 
 @dataclass(eq=False)
@@ -292,22 +297,6 @@ def _null_set_distance(xs: np.ndarray, p: DrProblem) -> np.ndarray:
     return p.r * np.minimum(da, db)
 
 
-def _solve_points(p: DrProblem, xs: np.ndarray) -> np.ndarray:
-    """Vectorized solution values on [a - r, b + r]: collars plus interior."""
-    xs = np.asarray(xs, dtype=float)
-    vals = np.empty(xs.size)
-    left = xs <= p.a
-    right = xs >= p.b
-    inner = ~(left | right)
-    if np.any(left):
-        vals[left] = _as_vector(p.alpha)(xs[left])
-    if np.any(right):
-        vals[right] = _as_vector(p.beta)(xs[right])
-    if np.any(inner):
-        vals[inner] = _interior_values(p, xs[inner])
-    return vals
-
-
 def residual_check(
     p: DrProblem,
     n_samples: int = 1000,
@@ -334,7 +323,7 @@ def residual_check(
     residual = np.abs(
         (_solve_points(p, xs + r) + _solve_points(p, xs - r) - 2.0 * _solve_points(p, xs))
         / (r * r)
-        - _as_vector(p.f)(xs)
+        - _values(p.f, xs)
     )
     i = int(np.argmax(residual))
     worst = float(residual[i])
@@ -364,7 +353,7 @@ def max_principle_check(p: DrProblem, n_samples: int = 1000) -> CheckReport:
         xs = np.linspace(lo, hi, n_samples)
         if name == "f":
             xs = xs[1:-1]  # f is only constrained on the open interval
-        vals = _as_vector(data)(xs)
+        vals = _values(data, xs)
         bad = sign * vals < -1e-14
         if np.any(bad):
             x_bad = float(xs[bad][0])
@@ -410,9 +399,9 @@ def regularity_bounds(p: DrProblem, n_samples: int = 2048) -> RegularityReport:
 
     All sups are sample-based on n_samples point grids per band.
     """
-    av = _as_vector(p.alpha)(np.linspace(p.a - p.r, p.a, n_samples))
-    bv = _as_vector(p.beta)(np.linspace(p.b, p.b + p.r, n_samples))
-    fv = _as_vector(p.f)(np.linspace(p.a, p.b, n_samples)[1:-1])
+    av = _values(p.alpha, np.linspace(p.a - p.r, p.a, n_samples))
+    bv = _values(p.beta, np.linspace(p.b, p.b + p.r, n_samples))
+    fv = _values(p.f, np.linspace(p.a, p.b, n_samples)[1:-1])
     sup_alpha = float(np.max(np.abs(av)))
     osc_alpha = float(np.max(av) - np.min(av))
     cross_gap = float(max(np.max(av) - np.min(bv), np.max(bv) - np.min(av), 0.0))

@@ -110,18 +110,19 @@ def _pendulum_dw(q):
     return out if out.ndim else float(out)
 
 
-def _cached_cw(w: Callable) -> float:
-    return adaptive_simpson(lambda t: float(w(t)), -1.0, 1.0, tol=1e-10)
+def _integral_w(w: Callable, tol: float = 1e-10) -> float:
+    """Integral of w over [-1, 1] by adaptive Simpson quadrature."""
+    return adaptive_simpson(lambda t: float(w(t)), -1.0, 1.0, tol=tol)
 
 
 def quartic() -> DoubleWell:
     """The quartic well W(t) = (1 - t^2)^2 / 4."""
-    return DoubleWell("quartic", _quartic_w, _quartic_dw, _cached_cw(_quartic_w))
+    return DoubleWell("quartic", _quartic_w, _quartic_dw, _integral_w(_quartic_w))
 
 
 def pendulum() -> DoubleWell:
     """The pendulum well W(q) = (1 + cos(pi q)) / pi with quadratic tails."""
-    return DoubleWell("pendulum", _pendulum_w, _pendulum_dw, _cached_cw(_pendulum_w))
+    return DoubleWell("pendulum", _pendulum_w, _pendulum_dw, _integral_w(_pendulum_w))
 
 
 def custom(w: Callable, dw: Optional[Callable] = None) -> DoubleWell:
@@ -130,7 +131,7 @@ def custom(w: Callable, dw: Optional[Callable] = None) -> DoubleWell:
     The callables are trusted as given; run validate_double_well to test
     the double-well hypotheses on a grid.
     """
-    return DoubleWell("custom", w, dw, _cached_cw(w))
+    return DoubleWell("custom", w, dw, _integral_w(w))
 
 
 def eval_w(W: DoubleWell, t: float) -> float:
@@ -273,4 +274,4 @@ def compute_cw(W: DoubleWell, tol: float = 1e-10) -> float:
     """Integrate W over [-1, 1] by adaptive Simpson quadrature."""
     if not (tol > 0.0):
         raise DomainError(f"tolerance must be positive, got {tol}")
-    return adaptive_simpson(lambda t: eval_w(W, t), -1.0, 1.0, tol=tol)
+    return _integral_w(W.w, tol)

@@ -23,14 +23,13 @@ F never exceeds E samplewise and matches it exactly for monotone data.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Tuple
 
 import numpy as np
 
 from .errors import DomainError
-from .potential import DoubleWell, eval_w_array
+from .potential import DoubleWell, _vectorized, eval_w_array
 
 __all__ = [
     "SampledFunction",
@@ -134,13 +133,7 @@ class SampledFunction:
     def from_callable(cls, f: Callable, x0: float, h: float, n: int) -> "SampledFunction":
         """Sample f at the cell left endpoints x0 + i*h, i = 0..n-1."""
         xs = float(x0) + float(h) * np.arange(int(n))
-        try:
-            vals = np.asarray(f(xs), dtype=float)
-            if vals.shape != xs.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            vals = np.array([float(f(float(x))) for x in xs])
-        return cls(x0, h, vals)
+        return cls(x0, h, _vectorized(f, xs))
 
     def to_csv(self, target) -> None:
         """Write 'x,value' rows with shortest round-trip float formatting."""
@@ -168,31 +161,23 @@ class EnergyBreakdown:
 
 
 def _window_min_max(vals: np.ndarray, n_r: int):
-    """Sliding min and max over windows of 2*n_r + 1 consecutive samples."""
-    n = vals.size
-    width = 2 * n_r + 1
-    out = n - 2 * n_r
-    mins = np.empty(out)
-    maxs = np.empty(out)
-    lo: deque = deque()
-    hi: deque = deque()
-    for k in range(n):
-        v = vals[k]
-        while lo and vals[lo[-1]] >= v:
-            lo.pop()
-        lo.append(k)
-        while hi and vals[hi[-1]] <= v:
-            hi.pop()
-        hi.append(k)
-        start = k - width + 1
-        if lo[0] < start:
-            lo.popleft()
-        if hi[0] < start:
-            hi.popleft()
-        if k >= width - 1:
-            mins[start] = vals[lo[0]]
-            maxs[start] = vals[hi[0]]
-    return mins, maxs
+    """Sliding min and max over windows of 2*n_r + 1 consecutive samples.
+
+    van Herk / Gil-Werman: cut the samples into blocks of one window
+    width w (padded with the neutral +-inf), scan each block forwards
+    and backwards, and combine the backward scan at i with the forward
+    scan at i + w - 1.  O(n) for any window width.
+    """
+    w = 2 * n_r + 1
+    out = vals.size - 2 * n_r
+
+    def scan(op, fill):
+        blocks = np.concatenate([vals, np.full(-vals.size % w, fill)]).reshape(-1, w)
+        prefix = op.accumulate(blocks, axis=1).ravel()
+        suffix = op.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+        return op(suffix[:out], prefix[w - 1 : w - 1 + out])
+
+    return scan(np.minimum, np.inf), scan(np.maximum, -np.inf)
 
 
 def window_oscillation(u: SampledFunction, r: float) -> SampledFunction:

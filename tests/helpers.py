@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from oschet.dirichlet import DrProblem, solve_dr_explicit
+from oschet.dirichlet import DrProblem, kbar, kunder, solve_dr_explicit
+from oschet.sampled import SampledFunction
 
 
 def poly(coeffs):
@@ -111,6 +112,35 @@ def dense_lattice_solve(p: DrProblem, N: int) -> np.ndarray:
     A[idx, idx + 1] = 1.0
     A[idx + 1, idx] = 1.0
     return np.linalg.solve(A, rhs)
+
+
+def closed_form_value(p: DrProblem, x: float) -> float:
+    """Oracle: the interior closed form term by term, one scalar call a point.
+
+    With m = kunder, n = kbar and N = m + n,
+
+        u(x) = n/N * [alpha(x - m r) - r^2 sum_{j=1}^{m-1} j f(x - (m - j) r)]
+             + m/N * [beta(x + n r) - r^2 sum_{j=1}^{n-1} j f(x + (n - j) r)]
+             - r^2 (m n / N) f(x),
+
+    the left and right walks along the chain written out separately.
+    """
+
+    def at(data, t):
+        if isinstance(data, SampledFunction):
+            return data.eval(t, extend=True)
+        return float(data(t))
+
+    r, r2 = p.r, p.r * p.r
+    m, n = kunder(x, p.a, p.b, r), kbar(x, p.a, p.b, r)
+    left = at(p.alpha, x - m * r)
+    for j in range(1, m):
+        left -= r2 * j * at(p.f, x - (m - j) * r)
+    right = at(p.beta, x + n * r)
+    for j in range(1, n):
+        right -= r2 * j * at(p.f, x + (n - j) * r)
+    N = m + n
+    return (n * left + m * right) / N - r2 * (m * n / N) * at(p.f, x)
 
 
 def explicit_lattice_values(p: DrProblem, N: int) -> np.ndarray:

@@ -157,6 +157,12 @@ def test_dirichlet_polynomial_source(capsys):
     assert len(doc["value"]) == len(doc["x"])
 
 
+def test_dirichlet_rejects_overlong_chains(capsys):
+    code = run(["solve-dirichlet", "--a", "0", "--b", "1", "--r", "1e-7", "--h", "0.5"])
+    assert code == 2
+    assert "chain" in capsys.readouterr().err
+
+
 def test_converge_study_rows(capsys):
     code, doc = run_json(
         capsys, ["converge-study", "--r-list", "0.4,0.2", "--potential", "quartic"]

@@ -1,20 +1,25 @@
 """Explicit nonlocal Dirichlet solutions and their structure checks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
     aligned_problem,
+    closed_form_value,
     dense_lattice_solve,
     explicit_lattice_values,
     left_dominant_problem,
     random_problem,
     sign_constrained_problem,
+    trig,
     zero,
 )
 from oschet.dirichlet import (
     DrProblem,
+    _solve_points,
     dr_apply,
     kbar,
     kunder,
@@ -94,6 +99,19 @@ def test_dr_apply_on_the_step():
     )
     assert dr_apply(u0, 0.25, 0.5) == -8.0
     assert dr_apply(u0, 1.2, 0.5) == 0.0
+    with pytest.raises(PreconditionError):
+        dr_apply(3.0, 0.25, 0.5)
+
+
+def test_dr_apply_on_a_solution_returns_the_source():
+    rng = np.random.default_rng(7)
+    p = random_problem(rng)
+    sol = solve_dr_on_grid(p, 1e-3)
+    for t in (0.2, 0.45, 0.8):
+        x = p.a + t * (p.b - p.a)
+        assert abs(dr_apply(sol, x, p.r) - p.f(x)) < 1e-9
+    with pytest.raises(DomainError):
+        dr_apply(sol, p.b - 0.1 * p.r, 2.0 * p.r)  # x + 2r leaves the right collar
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +136,8 @@ def test_staircase_collar_branches():
         solve_dr_explicit(p, -0.3)  # beyond the collar
     with pytest.raises(DomainError):
         solve_dr_explicit(p, 1.3)
+    with pytest.raises(DomainError):
+        solve_dr_explicit(p, math.nan)
 
 
 def test_staircase_jumps_on_the_lattice():
@@ -149,6 +169,70 @@ def test_explicit_formula_matches_dense_lattice_solve():
         dense = dense_lattice_solve(p, N)
         explicit = explicit_lattice_values(p, N)
         assert np.max(np.abs(dense - explicit)) < 1e-10
+
+
+@st.composite
+def chain_problems(draw):
+    """A problem with r/span in [1e-3, 0.8] and interior probe points:
+    random ones, lattice points a + k r and b - k r, and points 1e-13 off
+    those.  The source is a SampledFunction or a scalar-only callable."""
+    a = draw(st.floats(-2.0, 2.0))
+    span = draw(st.floats(0.5, 3.0))
+    b = a + span
+    r = draw(st.floats(1e-3, 0.8)) * span
+    coef = [draw(st.floats(-1.0, 1.0)) for _ in range(8)]
+    alpha = trig(coef[0], coef[1], coef[2], 1.3)
+    beta = trig(coef[3], coef[4], coef[5], 0.7)
+    if draw(st.booleans()):
+        f = SampledFunction.from_callable(
+            lambda x: coef[6] * np.cos(5.0 * np.asarray(x)), a - 0.01, 1e-3 * span, 1030
+        )
+    else:
+        f = lambda x: coef[6] + coef[7] * math.sin(3.0 * x)  # rejects arrays
+    steps = max(1, int(span / r))
+    xs = []
+    for _ in range(6):
+        kind = draw(st.sampled_from(["random", "left", "right"]))
+        if kind == "random":
+            x = a + draw(st.floats(1e-9, 1.0 - 1e-9)) * span
+        else:
+            k = draw(st.integers(1, steps))
+            x = a + k * r if kind == "left" else b - k * r
+            x += draw(st.sampled_from([0.0, 1e-13, -1e-13]))
+        if a < x < b:
+            xs.append(x)
+    # sup|alpha| + sup|beta| + span^2 sup|f|, with |alpha|, |beta| <= 3 and |f| <= 2
+    scale = 6.0 + 2.0 * span * span
+    return DrProblem(a=a, b=b, r=r, alpha=alpha, beta=beta, f=f), np.array(xs), scale
+
+
+@given(case=chain_problems())
+@settings(max_examples=100, deadline=None)
+def test_evaluator_matches_the_scalar_closed_form(case):
+    p, xs, scale = case
+    expected = [closed_form_value(p, float(x)) for x in xs]
+    assert np.all(np.abs(_solve_points(p, xs) - expected) <= 1e-12 * scale)
+
+
+def test_one_point_at_small_r_calls_the_source_a_few_times():
+    calls = []
+
+    def f(x):
+        calls.append(np.size(x))
+        return np.zeros_like(np.asarray(x, dtype=float))
+
+    one = lambda x: 1.0 + 0.0 * np.asarray(x)
+    p = DrProblem(a=0.0, b=1.0, r=1e-5, alpha=zero, beta=one, f=f)
+    assert solve_dr_explicit(p, 0.5) == pytest.approx(0.5, rel=1e-12)
+    assert len(calls) <= 3
+
+
+def test_chain_length_is_bounded():
+    one = lambda x: 1.0 + 0.0 * np.asarray(x)
+    with pytest.raises(PreconditionError):
+        DrProblem(a=0.0, b=1.0, r=1e-7, alpha=zero, beta=one, f=zero)
+    p = DrProblem(a=0.0, b=1.0, r=1e-6, alpha=zero, beta=one, f=zero)
+    assert solve_dr_explicit(p, 0.5) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_staircase_against_dense_solve():

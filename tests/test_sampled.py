@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oschet.errors import DomainError
 from oschet.potential import quartic
@@ -20,7 +20,7 @@ from oschet.sampled import (
 
 
 # ---------------------------------------------------------------------------
-# oracle: direct max-minus-min over every window, no deque tricks
+# oracle: direct max-minus-min over every window, no block scans
 # ---------------------------------------------------------------------------
 
 
@@ -35,7 +35,15 @@ def brute_oscillation(values: np.ndarray, n_r: int) -> np.ndarray:
 finite_vals = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
 
-@given(vals=st.lists(finite_vals, min_size=5, max_size=60), n_r=st.integers(1, 5))
+def zigzag(n: int) -> list:
+    return [float((7 * i) % 11 - 5) for i in range(n)]
+
+
+@given(vals=st.lists(finite_vals, min_size=5, max_size=200), n_r=st.integers(1, 30))
+@example(vals=zigzag(6), n_r=1)  # two blocks of the window width
+@example(vals=zigzag(21), n_r=3)  # an exact multiple of the window width
+@example(vals=zigzag(200), n_r=30)  # a padded last block
+@settings(max_examples=200)
 def test_window_oscillation_matches_brute_force(vals, n_r):
     values = np.array(vals)
     if len(values) - 2 * n_r < 2:
