@@ -28,7 +28,7 @@ Every evaluation, collars included, goes through one array evaluator
 that sums the formula along each point's chain in row blocks of about
 max(points, N) entries, so memory stays linear in the number of points
 plus the chain length; DrProblem rejects chains of more than MAX_CHAIN
-links.
+links, and solve_dr_on_grid grids of more than MAX_GRID_SAMPLES samples.
 """
 
 from __future__ import annotations
@@ -64,6 +64,10 @@ GOLDEN_FRAC = 0.6180339887498949
 # work arrays: at a million links one point takes about 60 ms and 40 MB, and
 # both grow linearly below that r, so finer r is rejected as input.
 MAX_CHAIN = 1e6
+# A grid solve holds about 80 bytes a sample in its arrays and takes about
+# 0.4 us a sample at r = 0.25: 10^7 samples (about 0.8 GB and 4 s) is far
+# above the 1.5e4-sample grids of h = 1e-4, so a finer h is rejected as input.
+MAX_GRID_SAMPLES = 10**7
 
 Data = Union[Callable, SampledFunction]
 
@@ -271,7 +275,13 @@ def solve_dr_on_grid(p: DrProblem, h: float) -> DrSolution:
     if not (h > 0.0 and math.isfinite(h)):
         raise DomainError(f"sample step must be positive and finite, got {h}")
     span = (p.b + p.r) - (p.a - p.r)
-    n = int(math.ceil(span / h - 1e-9))
+    count = span / h - 1e-9  # inf when h is subnormal
+    if count > MAX_GRID_SAMPLES:
+        raise PreconditionError(
+            f"step h={h} asks for {count:.3g} samples, above the limit of "
+            f"{MAX_GRID_SAMPLES:.0e}; use a larger h"
+        )
+    n = int(math.ceil(count))
     if n < 2:
         raise DomainError(f"step h={h} leaves fewer than 2 samples on the domain")
     xs = (p.a - p.r) + h * np.arange(n)

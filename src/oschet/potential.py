@@ -13,7 +13,13 @@ Built-in potentials:
     replaced by the quadratic (pi/2)(|q| - 1)^2, which matches value,
     slope, and curvature at the wells and keeps the tails monotone.
 
-Both built-ins accept scalars or numpy arrays.
+Both built-ins accept scalars or numpy arrays.  A float (numpy float64
+included) takes a `math` branch that matches the numpy branch on arrays
+bit for bit: the same formulas in the same order, with the square written
+as d * d because numpy computes an array's `** 2` as a multiply.  The
+shooting loop calls W' on a float once per plateau, and there the numpy
+branch costs about 7.5 us a call against 0.26 us for the math branch
+(pendulum W', Python 3.11, numpy 2.4, one core of a 2-CPU VM).
 """
 
 from __future__ import annotations
@@ -88,6 +94,13 @@ def _quartic_dw(t):
 
 
 def _pendulum_w(q):
+    if isinstance(q, float):  # scalar fast path, bit-identical to the numpy branch
+        q = float(q)  # a numpy float64 returns a Python float too
+        if abs(q) <= 1.0:
+            h = math.cos(0.5 * math.pi * q)
+            return (2.0 / math.pi) * h * h
+        d = abs(q) - 1.0
+        return 0.5 * math.pi * (d * d)
     q = np.asarray(q, dtype=float)
     aq = np.abs(q)
     # Half-angle form of (1 + cos(pi q)) / pi: near q = +-1 the direct
@@ -102,6 +115,11 @@ def _pendulum_w(q):
 
 
 def _pendulum_dw(q):
+    if isinstance(q, float):  # scalar fast path, bit-identical to the numpy branch
+        q = float(q)  # a numpy float64 returns a Python float too
+        if abs(q) <= 1.0:
+            return -math.sin(math.pi * q)
+        return math.pi * math.copysign(1.0, q) * (abs(q) - 1.0)
     q = np.asarray(q, dtype=float)
     aq = np.abs(q)
     inside = -np.sin(np.pi * q)

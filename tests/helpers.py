@@ -168,3 +168,19 @@ def left_dominant_problem(rng: np.random.Generator) -> DrProblem:
     alpha = lambda x, s=s1, c=c1: c + s * (np.asarray(x, dtype=float) - a)
     beta = lambda x, s=s2, c=c2: c + s * (np.asarray(x, dtype=float) - b)
     return DrProblem(a=a, b=b, r=r, alpha=alpha, beta=beta, f=zero)
+
+
+def forbid_large_arange(monkeypatch):
+    """Make np.arange fail on more than 10^8 entries instead of allocating.
+
+    A grid that a size cap should refuse would otherwise be allocated for
+    real (about 12 GB at h = 1e-9 on a unit span) before the test fails.
+    """
+    real = np.arange
+
+    def guarded(*args, **kwargs):
+        if args and isinstance(args[0], (int, np.integer)) and args[0] > 10**8:
+            raise AssertionError(f"np.arange({args[0]}) allocates the grid")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", guarded)

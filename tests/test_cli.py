@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import forbid_large_arange
 from oschet.cli import run
 
 
@@ -161,6 +162,13 @@ def test_dirichlet_rejects_overlong_chains(capsys):
     code = run(["solve-dirichlet", "--a", "0", "--b", "1", "--r", "1e-7", "--h", "0.5"])
     assert code == 2
     assert "chain" in capsys.readouterr().err
+
+
+def test_dirichlet_rejects_overfine_grids(capsys, monkeypatch):
+    forbid_large_arange(monkeypatch)
+    code = run(["solve-dirichlet", "--a", "0", "--b", "1", "--r", "0.25", "--h", "1e-9"])
+    assert code == 2
+    assert "samples" in capsys.readouterr().err
 
 
 def test_converge_study_rows(capsys):

@@ -11,6 +11,7 @@ from helpers import (
     closed_form_value,
     dense_lattice_solve,
     explicit_lattice_values,
+    forbid_large_arange,
     left_dominant_problem,
     random_problem,
     sign_constrained_problem,
@@ -233,6 +234,16 @@ def test_chain_length_is_bounded():
         DrProblem(a=0.0, b=1.0, r=1e-7, alpha=zero, beta=one, f=zero)
     p = DrProblem(a=0.0, b=1.0, r=1e-6, alpha=zero, beta=one, f=zero)
     assert solve_dr_explicit(p, 0.5) == pytest.approx(0.5, rel=1e-12)
+
+
+def test_grid_sample_count_is_bounded(monkeypatch):
+    forbid_large_arange(monkeypatch)
+    p = DrProblem(a=0.0, b=1.0, r=0.25, alpha=zero, beta=zero, f=zero)
+    with pytest.raises(PreconditionError, match="samples"):
+        solve_dr_on_grid(p, 1e-9)
+    # span / h overflows to inf: still the typed error, not OverflowError
+    with pytest.raises(PreconditionError, match="samples"):
+        solve_dr_on_grid(p, 5e-324)
 
 
 def test_staircase_against_dense_solve():

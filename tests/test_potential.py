@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from oschet.errors import ConvergenceError, DomainError, UnsupportedOperationError
 from oschet.potential import (
@@ -101,15 +101,38 @@ def test_pendulum_even_and_nonnegative(t):
     assert abs(eval_w(W, t) - eval_w(W, -t)) < 1e-16
 
 
+# Points where the pendulum's two branches meet or switch, plus one where
+# the squared tail distance is an exact rounding tie: there libm's pow
+# (``d ** 2`` on a float or a 0-d array) and a multiply (``** 2`` on an
+# array) round apart.
+BRANCH_EDGES = [
+    0.0, -0.0, 1.0, -1.0, 1 - 1e-9, -(1 - 1e-9), 1 + 1e-9, -(1 + 1e-9),
+    2.5, -2.5, 1.7742889150977135,
+]
+
+
+@pytest.mark.parametrize("factory", [quartic, pendulum])
 @given(ts=st.lists(st.floats(-3, 3), min_size=1, max_size=30))
-def test_array_evaluation_matches_scalar(ts):
-    W = quartic()
+@example(ts=BRANCH_EDGES)
+def test_array_evaluation_matches_scalar(factory, ts):
+    # exact equality on purpose: a float takes the math branch of the
+    # built-ins and an array the numpy branch, and the two must agree bit
+    # for bit on this platform's libm
+    W = factory()
     arr = eval_w_array(W, np.array(ts))
-    for i, t in enumerate(ts):
-        assert arr[i] == eval_w(W, t)
     darr = eval_dw_array(W, np.array(ts))
     for i, t in enumerate(ts):
-        assert darr[i] == eval_dw(W, t)
+        for x in (t, np.float64(t)):
+            assert W.w(x) == arr[i]
+            assert W.dw(x) == darr[i]
+        assert eval_w(W, t) == arr[i]
+        assert eval_dw(W, t) == darr[i]
+        assert type(W.w(t)) is float
+        assert type(W.dw(t)) is float
+        if W.kind == "pendulum":
+            # the quartic polynomial keeps numpy's scalar type, as before
+            assert type(W.w(np.float64(t))) is float
+            assert type(W.dw(np.float64(t))) is float
 
 
 def test_rejects_nonfinite_argument():
