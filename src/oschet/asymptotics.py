@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 PROFILE_CACHE_SIZE = 8  # tables kept for reuse, least recently used dropped first
+BULK_POINTS = 1400  # table segments on [0, 0.99]; the tail toward the well adds 599
+NEWTON_STEPS = 3  # refinements of the Hermite guess in quadrature_eval
 _PROFILE_CACHE: dict = {}
 
 
@@ -53,7 +55,7 @@ class ClassicalHeteroclinic:
     profile is within tol of the wells anyway.
     """
 
-    def __init__(self, W: DoubleWell, tol: float = 1e-9, bulk_points: int = 1400):
+    def __init__(self, W: DoubleWell, tol: float = 1e-9):
         if not (0.0 < tol < 1e-2):
             raise DomainError(f"tol must be in (0, 1e-2), got {tol}")
         if eval_w(W, 0.0) <= 0.0:
@@ -61,7 +63,7 @@ class ClassicalHeteroclinic:
         self.W = W
         self.tol = float(tol)
         gap = max(tol, 1e-12)
-        bulk = np.linspace(0.0, 0.99, bulk_points + 1)
+        bulk = np.linspace(0.0, 0.99, BULK_POINTS + 1)
         tail = 1.0 - np.geomspace(0.01, gap, 600)[1:]
         self._us = np.concatenate((bulk, tail))
         integrand = lambda s: math.sqrt(2.0 / float(W.w(s)))
@@ -122,7 +124,7 @@ class ClassicalHeteroclinic:
         )
         return np.where(ax >= xs[-1], self.u_max, out)
 
-    def quadrature_eval(self, x: float, newton_steps: int = 3) -> float:
+    def quadrature_eval(self, x: float) -> float:
         """Profile value through the tabulated quadrature, ignoring any closed form."""
         x = float(x)
         if x == 0.0:
@@ -133,7 +135,7 @@ class ClassicalHeteroclinic:
             return sign * self.u_max
         u = float(self._hermite(np.array([ax]))[0])
         u = min(max(u, 0.0), self.u_max)
-        for _ in range(newton_steps):
+        for _ in range(NEWTON_STEPS):
             gap = self.x_at(u) - ax
             u = min(max(u - gap * math.sqrt(eval_w(self.W, u) / 2.0), 0.0), self.u_max)
         return sign * u

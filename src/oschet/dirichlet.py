@@ -68,6 +68,8 @@ MAX_CHAIN = 1e6
 # 0.4 us a sample at r = 0.25: 10^7 samples (about 0.8 GB and 4 s) is far
 # above the 1.5e4-sample grids of h = 1e-4, so a finer h is rejected as input.
 MAX_GRID_SAMPLES = 10**7
+EXCLUSION_TOL = 1e-9  # residual_check skips points this close to the lattice null set
+RESIDUAL_TOL = 1e-9  # largest |D_r u - f| that residual_check passes
 
 Data = Union[Callable, SampledFunction]
 
@@ -243,31 +245,13 @@ def _detect_jumps(samples: SampledFunction, a: float, b: float):
     v = samples.values
     h = samples.h
     deltas = np.abs(np.diff(v))
-    n = deltas.size
-    if n == 0:
-        return [], []
-    threshold = 10.0 * float(np.median(deltas)) + 1e-9
-    above = deltas > threshold
-
-    locations = []
-    sizes = []
-    i = 0
-    while i < n:
-        if not above[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and above[j + 1]:
-            j += 1
-        # increment i sits at the cell boundary x_{i+1}
-        x_lo = samples.x0 + (i + 1) * h
-        x_hi = samples.x0 + (j + 1) * h
-        loc = 0.5 * (x_lo + x_hi)
-        if a + 1.5 * h < loc < b - 1.5 * h:
-            locations.append(float(loc))
-            sizes.append(float(abs(v[j + 1] - v[i])))
-        i = j + 1
-    return locations, sizes
+    above = deltas > 10.0 * float(np.median(deltas)) + 1e-9
+    # runs of flagged increments i..j; increment i sits at the cell boundary x_{i+1}
+    edges = np.flatnonzero(np.diff(above, prepend=False, append=False))
+    i, j = edges[0::2], edges[1::2] - 1
+    loc = 0.5 * ((samples.x0 + (i + 1) * h) + (samples.x0 + (j + 1) * h))
+    keep = (a + 1.5 * h < loc) & (loc < b - 1.5 * h)
+    return loc[keep].tolist(), np.abs(v[j + 1] - v[i])[keep].tolist()
 
 
 def solve_dr_on_grid(p: DrProblem, h: float) -> DrSolution:
@@ -307,15 +291,10 @@ def _null_set_distance(xs: np.ndarray, p: DrProblem) -> np.ndarray:
     return p.r * np.minimum(da, db)
 
 
-def residual_check(
-    p: DrProblem,
-    n_samples: int = 1000,
-    exclusion_tol: float = 1e-9,
-    residual_tol: float = 1e-9,
-) -> CheckReport:
-    """Verify D_r u = f at quasi-random interior points.
+def residual_check(p: DrProblem, n_samples: int = 1000) -> CheckReport:
+    """Verify D_r u = f to RESIDUAL_TOL at quasi-random interior points.
 
-    Points within exclusion_tol of the lattice null set are skipped; the
+    Points within EXCLUSION_TOL of the lattice null set are skipped; the
     solution may genuinely jump there and the three chain points of the
     operator would straddle different chains.
     """
@@ -323,7 +302,7 @@ def residual_check(
         raise PreconditionError(f"n_samples must be positive, got {n_samples}")
     k = np.arange(1, 50 * n_samples + 1)
     cand = p.a + ((k * GOLDEN_FRAC) % 1.0) * (p.b - p.a)
-    cand = cand[_null_set_distance(cand, p) >= exclusion_tol]
+    cand = cand[_null_set_distance(cand, p) >= EXCLUSION_TOL]
     xs = cand[:n_samples]
     if xs.size == 0:
         raise PreconditionError(
@@ -338,7 +317,7 @@ def residual_check(
     i = int(np.argmax(residual))
     worst = float(residual[i])
     return CheckReport(
-        passed=worst <= residual_tol,
+        passed=worst <= RESIDUAL_TOL,
         worst=worst,
         worst_x=float(xs[i]),
         n_checked=int(xs.size),

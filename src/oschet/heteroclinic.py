@@ -10,17 +10,21 @@ whose stationarity condition is the three-term recurrence
 
     w_{j+1} - 2 w_j + w_{j-1} = r^2 W'(w_j).
 
-Three constrained minimizations over the box [-1, 1]:
+Three constrained minimizations over the box [-1, 1], one for each
+LatticeProfile symmetry:
 
-  * solve_discrete_dirichlet: pinned w_0 = -1 and w_{K+1} = +1, free
-    w_1..w_K, objective summed over j = 0..K.
-  * solve_symmetric_node: odd about the lattice node 0 (w_0 = 0 and
-    w_{-n} = -w_n), pinned w_j = 1 for j >= K, free w_1..w_{K-1},
+  * none (solve_discrete_dirichlet): pinned w_0 = -1 and w_{K+1} = +1,
+    free w_1..w_K, objective summed over j = 0..K.
+  * node_odd (solve_symmetric_node): odd about the lattice node 0 (w_0 = 0
+    and w_{-n} = -w_n), pinned w_j = 1 for j >= K, free w_1..w_{K-1},
     objective summed over j = -K..K.
-  * solve_symmetric_bond: odd about the bond between -1 and 0
+  * bond_odd (solve_symmetric_bond): odd about the bond between -1 and 0
     (w_{-n-1} = -w_n), pinned w_j = 1 for j >= K-1, free w_0..w_{K-2},
     objective summed over j = -K..K.
 
+The table _FLAVORS holds what each symmetry means for the free sites,
+the left anchor and the stored window; _assemble builds every profile,
+minimized or shot, from its values at the first free site onward.
 Both symmetric problems are reduced to their free coordinates; reported
 values are always recomputed from the full windowed sum on the assembled
 profile.  All three are one box problem whose Hessian is tridiagonal,
@@ -73,14 +77,22 @@ __all__ = [
 ESCAPE_PAD = 1e-9  # orbit above 1 + pad has left the box for good
 TURNBACK_PAD = 1e-12  # decrease below this is a genuine turn, not roundoff
 
+# symmetry -> (free sites K - drop, objective scale s, left anchor a, anchor weight lam,
+#              mirror n_min + n_max with w_{mirror - n} = -w_n, None when not odd)
+_FLAVORS = {
+    "none": (0, 1.0, -1.0, 1.0, None),
+    "node_odd": (1, 2.0, 0.0, 1.0, 0),
+    "bond_odd": (1, 2.0, 0.0, 2.0, -1),
+}
+
 
 @dataclass(eq=False)
 class LatticeProfile:
     """Plateau values on an integer window, -1 to the left, +1 to the right.
 
     If a symmetry is declared it must hold exactly on the stored values:
-    node_odd needs n_min = -n_max with w_{-n} = -w_n, bond_odd needs
-    n_min = -(n_max + 1) with w_{-n-1} = -w_n.
+    w_{c - n} = -w_n with c = n_min + n_max, which is 0 for node_odd and
+    -1 for bond_odd.
     """
 
     r: float
@@ -109,32 +121,20 @@ class LatticeProfile:
             worst = float(np.max(np.abs(vals)))
             raise DomainError(f"profile values must lie in [-1, 1], worst |w| = {worst}")
         vals = np.clip(vals, -1.0, 1.0)
-        if self.symmetry not in ("none", "node_odd", "bond_odd"):
+        if self.symmetry not in _FLAVORS:
             raise DomainError(f"unknown symmetry {self.symmetry!r}")
-        if self.symmetry == "node_odd":
-            if self.n_min != -self.n_max:
-                raise DomainError(
-                    f"node_odd needs a window [-K, K], got [{self.n_min}, {self.n_max}]"
-                )
-            if not np.all(vals == -vals[::-1]):
-                raise DomainError("node_odd declared but values are not odd about 0")
-        if self.symmetry == "bond_odd":
-            if self.n_min != -(self.n_max + 1):
-                raise DomainError(
-                    f"bond_odd needs n_min = -(n_max + 1), got [{self.n_min}, {self.n_max}]"
-                )
-            if not np.all(vals == -vals[::-1]):
-                raise DomainError("bond_odd declared but values are not odd about -1/2")
+        c = _FLAVORS[self.symmetry][4]
+        if c is not None and (self.n_min + self.n_max != c or np.any(vals != -vals[::-1])):
+            raise DomainError(
+                f"{self.symmetry} needs w_{{{c} - n}} = -w_n on a window with "
+                f"n_min + n_max = {c}, got [{self.n_min}, {self.n_max}]"
+            )
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     def value(self, n: int) -> float:
         """Plateau value at index n, using the implicit -1 / +1 extension."""
-        if n < self.n_min:
-            return -1.0
-        if n > self.n_max:
-            return 1.0
-        return float(self.values[n - self.n_min])
+        return float(self.values_range(n, n)[0])
 
     def values_range(self, j_lo: int, j_hi: int) -> np.ndarray:
         """Values at indices j_lo..j_hi inclusive, extension included."""
@@ -147,6 +147,21 @@ class LatticeProfile:
         out[above] = 1.0
         out[inside] = self.values[idx[inside] - self.n_min]
         return out
+
+
+def _assemble(r: float, pos: np.ndarray, symmetry: str) -> LatticeProfile:
+    """The profile whose values from the first free site on are pos.
+
+    none stores the pinned w_0 = -1 in front of them; the odd symmetries
+    store the mirrored values, with node_odd's w_0 = 0 between the halves.
+    """
+    pos = np.asarray(pos, dtype=float)
+    m = pos.size
+    mirror = _FLAVORS[symmetry][4]
+    if mirror is None:
+        return LatticeProfile(r, 0, m, np.concatenate(([-1.0], pos)), symmetry)
+    vals = np.concatenate((-pos[::-1], np.zeros(1 + mirror), pos))
+    return LatticeProfile(r, -m, m + mirror, vals, symmetry)
 
 
 @dataclass(frozen=True)
@@ -233,9 +248,6 @@ def recurrence_step(u_n: float, u_np1: float, r: float, W: DoubleWell) -> float:
 # ---------------------------------------------------------------------------
 
 
-# flavor -> (free sites K - drop, objective scale s, left anchor a, anchor weight lam)
-_FLAVORS = {"plain": (0, 1.0, -1.0, 1.0), "node": (1, 2.0, 0.0, 1.0), "bond": (1, 2.0, 0.0, 2.0)}
-
 ARMIJO_C = 1e-4  # sufficient-decrease fraction along the projection arc
 BACKTRACK = 0.5  # step shrink factor per failed Armijo trial
 MIN_STEP = 1e-12  # smallest arc step tried before a start counts as stalled
@@ -248,21 +260,22 @@ FD_STEP = 1e-6  # central-difference step for W'' from W'
 
 
 class _BoxProblem:
-    """All three flavors as one problem on the free sites z in [-1, 1]^d.
+    """All three symmetries as one problem on the free sites z in [-1, 1]^d.
 
     Up to a constant each minimizes, with w = (z, 1) pinned at +1 on the right,
     s [(lam (z_0 - a)^2 + sum_i (w_{i+1} - w_i)^2) / (2 r^2) + sum_i W(z_i)].
-    node doubles the mirrored half; bond's reflection w_{-1} = -z_0 counts its
-    central square once, hence lam = 2.  The Hessian is tridiagonal: -s / r^2
-    off the diagonal, s (2 / r^2 + W'') on it, plus s (lam - 1) / r^2 at z_0.
+    node_odd doubles the mirrored half; bond_odd's reflection w_{-1} = -z_0
+    counts its central square once, hence lam = 2.  The Hessian is
+    tridiagonal: -s / r^2 off the diagonal, s (2 / r^2 + W'') on it, plus
+    s (lam - 1) / r^2 at z_0.
     """
 
-    def __init__(self, K: int, r: float, W: DoubleWell, flavor: str):
-        drop, self.s, self.a, self.lam = _FLAVORS[flavor]
+    def __init__(self, K: int, r: float, W: DoubleWell, symmetry: str):
+        drop, self.s, self.a, self.lam, _ = _FLAVORS[symmetry]
         self.K = K
         self.r = r
         self.W = W
-        self.flavor = flavor
+        self.symmetry = symmetry
         self.dim = K - drop
         self.inv_r2 = 1.0 / (r * r)
         # EL residual on the profile equals res_scale * |reduced gradient|
@@ -276,7 +289,7 @@ class _BoxProblem:
     def grad_curv(self, z: np.ndarray):
         """Gradient and s * W''(z), the potential's part of the Hessian diagonal."""
         n = z.size
-        # z_0's left neighbour: -1 (plain), 0 (node) or the reflection -z_0 (bond)
+        # z_0's left neighbour: -1 (none), 0 (node_odd) or the reflection -z_0 (bond_odd)
         left = np.concatenate((((1.0 - self.lam) * z[0] + self.lam * self.a,), z[:-1]))
         right = np.append(z[1:], 1.0)
         dw = eval_dw_array(self.W, np.concatenate((z, z + FD_STEP, z - FD_STEP)))
@@ -284,21 +297,10 @@ class _BoxProblem:
         return grad, self.s * (dw[n : 2 * n] - dw[2 * n :]) / (2.0 * FD_STEP)
 
     def profile(self, z: np.ndarray) -> LatticeProfile:
-        K = self.K
-        pos = np.append(z, 1.0)
-        if self.flavor == "plain":
-            return LatticeProfile(self.r, 0, K + 1, np.concatenate(([-1.0], pos)), "none")
-        if self.flavor == "node":
-            vals = np.concatenate((-pos[::-1], [0.0], pos))
-            return LatticeProfile(self.r, -K, K, vals, "node_odd")
-        return LatticeProfile(self.r, -K, K - 1, np.concatenate((-pos[::-1], pos)), "bond_odd")
-
-    def full_value(self, z: np.ndarray) -> float:
-        p = self.profile(z)
-        return discrete_energy(p, self.W, p.n_min, self.K)
+        return _assemble(self.r, np.append(z, 1.0), self.symmetry)
 
     def ramp_start(self) -> np.ndarray:
-        """Linear from the left anchor (half a site left of z_0 for bond) to +1."""
+        """Linear from the left anchor (half a site left of z_0 for bond_odd) to +1."""
         lead = 1.0 - 0.5 * (self.lam - 1.0)
         return self.a + (1.0 - self.a) * (np.arange(self.dim) + lead) / (self.dim + lead)
 
@@ -419,7 +421,7 @@ def _minimize(problem: _BoxProblem, opts: SolverOptions) -> SolveReport:
         total_iters += used
         prof = problem.profile(z)
         res = el_residual(prof, problem.W)
-        val = problem.full_value(z)
+        val = discrete_energy(prof, problem.W, prof.n_min, problem.K)
         candidates.append((round(val * 1e12), res > opts.tol, tuple(z), val, res, prof))
     if not candidates:
         raise ConvergenceError("iteration budget exhausted before any start ran")
@@ -434,13 +436,15 @@ def _minimize(problem: _BoxProblem, opts: SolverOptions) -> SolveReport:
     )
 
 
-def _check_solver_args(K: int, r: float, W: DoubleWell, k_min: int) -> None:
+def _solve(K: int, r: float, W: DoubleWell, opts: Optional[SolverOptions], symmetry: str):
+    k_min = 1 + _FLAVORS[symmetry][0]
     if int(K) != K or K < k_min:
         raise PreconditionError(f"K must be an integer >= {k_min}, got {K}")
     if not (r > 0.0 and math.isfinite(r)):
         raise PreconditionError(f"range r must be positive and finite, got {r}")
     if W.dw is None:
         raise UnsupportedOperationError("solvers need a potential with a derivative")
+    return _minimize(_BoxProblem(int(K), float(r), W, symmetry), opts or SolverOptions())
 
 
 def solve_discrete_dirichlet(
@@ -451,24 +455,21 @@ def solve_discrete_dirichlet(
     The minimum is nonincreasing in K: a competitor for window K extends
     to window K+1 by repeating a well value, without changing its sum.
     """
-    _check_solver_args(K, r, W, 1)
-    return _minimize(_BoxProblem(int(K), float(r), W, "plain"), opts or SolverOptions())
+    return _solve(K, r, W, opts, "none")
 
 
 def solve_symmetric_node(
     K: int, r: float, W: DoubleWell, opts: Optional[SolverOptions] = None
 ) -> SolveReport:
     """Minimize over profiles odd about the lattice node 0, pinned at j >= K."""
-    _check_solver_args(K, r, W, 2)
-    return _minimize(_BoxProblem(int(K), float(r), W, "node"), opts or SolverOptions())
+    return _solve(K, r, W, opts, "node_odd")
 
 
 def solve_symmetric_bond(
     K: int, r: float, W: DoubleWell, opts: Optional[SolverOptions] = None
 ) -> SolveReport:
     """Minimize over profiles odd about the bond (-1, 0), pinned at j >= K-1."""
-    _check_solver_args(K, r, W, 2)
-    return _minimize(_BoxProblem(int(K), float(r), W, "bond"), opts or SolverOptions())
+    return _solve(K, r, W, opts, "bond_odd")
 
 
 # ---------------------------------------------------------------------------
@@ -479,13 +480,13 @@ def solve_symmetric_bond(
 def _orbit_classify(s: float, r: float, W: DoubleWell, symmetry: str, tol: float, horizon: int):
     """Integrate the recurrence from the symmetric seed and classify.
 
+    The orbit starts at the seed's left neighbour, the left anchor of the
+    symmetry (w_0 = 0 for node_odd, the reflection -s for bond_odd).
     Returns (kind, orbit) with kind 'high' (escaped above 1), 'low'
     (turned back or stalled), or 'hit' (landed within tol of 1 from below).
     """
-    if symmetry == "node_odd":
-        orbit = [0.0, s]
-    else:
-        orbit = [-s, s]
+    _, _, a, lam, _ = _FLAVORS[symmetry]
+    orbit = [(1.0 - lam) * s + lam * a, s]
     r2 = r * r
     dw = W.dw
     prev, cur = orbit[-2], orbit[-1]
@@ -501,18 +502,6 @@ def _orbit_classify(s: float, r: float, W: DoubleWell, symmetry: str, tol: float
         orbit.append(nxt)
         prev, cur = cur, nxt
     return "low", orbit
-
-
-def _profile_from_orbit(orbit, r: float, symmetry: str) -> LatticeProfile:
-    if symmetry == "node_odd":
-        pos = np.asarray(orbit)  # w_0 = 0 .. w_m
-        vals = np.concatenate((-pos[1:][::-1], pos))
-        m = pos.size - 1
-        return LatticeProfile(r, -m, m, vals, "node_odd")
-    pos = np.asarray(orbit[1:])  # z_0 .. z_m
-    vals = np.concatenate((-pos[::-1], pos))
-    m = pos.size - 1
-    return LatticeProfile(r, -(m + 1), m, vals, "bond_odd")
 
 
 def shoot_heteroclinic(
@@ -542,44 +531,41 @@ def shoot_heteroclinic(
     if W.dw is None:
         raise UnsupportedOperationError("shooting needs a potential with a derivative")
 
-    kind_hi, orbit = _orbit_classify(1.0, r, W, symmetry, tol, horizon)
-    if kind_hi == "hit":
-        return _profile_from_orbit(orbit, r, symmetry)
-    if kind_hi != "high":
+    kind, orbit = _orbit_classify(1.0, r, W, symmetry, tol, horizon)
+    if kind == "low":
         raise NoBracketError("seed s = 1 does not overshoot; no bracket in (0, 1]")
     hi = 1.0
     lo = 1e-8
-    kind_lo, orbit = _orbit_classify(lo, r, W, symmetry, tol, horizon)
-    while kind_lo == "high":
+    if kind == "high":
+        kind, orbit = _orbit_classify(lo, r, W, symmetry, tol, horizon)
+    while kind == "high":
         lo *= 1e-2
         if lo < 1e-300:
             raise NoBracketError("every seed in (0, 1] overshoots; no bracket")
-        kind_lo, orbit = _orbit_classify(lo, r, W, symmetry, tol, horizon)
-    if kind_lo == "hit":
-        return _profile_from_orbit(orbit, r, symmetry)
+        kind, orbit = _orbit_classify(lo, r, W, symmetry, tol, horizon)
 
-    while hi - lo > 1e-17:
+    # orbit is the inside seed lo's until a seed hits
+    while kind != "hit" and hi - lo > 1e-17:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # adjacent doubles: no representable midpoint left
-        kind, orbit = _orbit_classify(mid, r, W, symmetry, tol, horizon)
-        if kind == "hit":
-            return _profile_from_orbit(orbit, r, symmetry)
+        kind, trial = _orbit_classify(mid, r, W, symmetry, tol, horizon)
         if kind == "high":
             hi = mid
         else:
-            lo = mid
+            lo, orbit = mid, trial
 
-    # the bracket is at roundoff width; take the inside orbit's closest pass
-    _, orbit = _orbit_classify(lo, r, W, symmetry, tol, horizon)
-    arr = np.asarray(orbit)
-    cut = int(np.argmin(np.abs(arr - 1.0)))
-    if abs(arr[cut] - 1.0) >= tol:
-        raise ConvergenceError(
-            f"orbit never came within tol={tol} of the well at +1 "
-            f"(closest {abs(arr[cut] - 1.0):.3e}); raise tol or horizon"
-        )
-    return _profile_from_orbit(list(arr[: cut + 1]), r, symmetry)
+    if kind != "hit":
+        # the bracket is at roundoff width; take the inside orbit's closest pass
+        arr = np.asarray(orbit)
+        cut = int(np.argmin(np.abs(arr - 1.0)))
+        if abs(arr[cut] - 1.0) >= tol:
+            raise ConvergenceError(
+                f"orbit never came within tol={tol} of the well at +1 "
+                f"(closest {abs(arr[cut] - 1.0):.3e}); raise tol or horizon"
+            )
+        orbit = orbit[: cut + 1]
+    return _assemble(r, orbit[1:], symmetry)
 
 
 def lift_profile(p: LatticeProfile, x_offset: float, h: float) -> SampledFunction:

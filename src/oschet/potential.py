@@ -109,7 +109,8 @@ def _pendulum_w(q):
     # stays fully accurate there.
     half = np.cos(0.5 * np.pi * q)
     inside = (2.0 / np.pi) * half * half
-    outside = 0.5 * np.pi * (aq - 1.0) ** 2
+    d = aq - 1.0
+    outside = 0.5 * np.pi * (d * d)
     out = np.where(aq <= 1.0, inside, outside)
     return out if out.ndim else float(out)
 

@@ -14,6 +14,7 @@ from typing import Callable
 from .errors import ConvergenceError, DomainError
 
 MAX_EVALS = 200_000  # integrand evaluations allowed per call
+MAX_DEPTH = 48  # recursion cap; hitting it returns the best local estimate
 
 
 def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
@@ -42,16 +43,13 @@ def _adapt(f, a, fa, m, fm, b, fb, whole, tol, depth, budget):
     )
 
 
-def adaptive_simpson(
-    f: Callable[[float], float], a: float, b: float, tol: float = 1e-10, max_depth: int = 48
-) -> float:
+def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10) -> float:
     """Integrate f over [a, b] with adaptive interval splitting.
 
     Args:
         f: scalar integrand, finite on [a, b].
         a, b: integration limits, a <= b.
         tol: absolute tolerance target for the whole interval.
-        max_depth: recursion cap; hitting it returns the best local estimate.
 
     Raises:
         ConvergenceError: the refinement needed more than MAX_EVALS
@@ -66,4 +64,4 @@ def adaptive_simpson(
     m = 0.5 * (a + b)
     fa, fm, fb = f(a), f(m), f(b)
     whole = _simpson(fa, fm, fb, b - a)
-    return _adapt(f, a, fa, m, fm, b, fb, whole, tol, max_depth, [MAX_EVALS - 3])
+    return _adapt(f, a, fa, m, fm, b, fb, whole, tol, MAX_DEPTH, [MAX_EVALS - 3])

@@ -93,31 +93,20 @@ class SampledFunction:
         """Left endpoints of the cells."""
         return self.x0 + self.h * np.arange(self.n)
 
-    def index_of(self, x: float) -> int:
-        """Cell index containing x, snapping near-boundary arguments."""
-        t = (float(x) - self.x0) / self.h
-        k = round(t)
-        if abs(t - k) <= GRID_SNAP * max(1.0, abs(t)):
-            t = float(k)
-        return int(math.floor(t))
-
     def eval(self, x: float, extend: bool = False) -> float:
         """Right-continuous evaluation; extend=True clamps to the end cells."""
-        i = self.index_of(x)
-        if i < 0 or i >= self.n:
-            if not extend:
-                lo, hi = self.domain
-                raise DomainError(f"x={x} outside the sampled domain [{lo}, {hi})")
-            i = min(max(i, 0), self.n - 1)
-        return float(self.values[i])
+        return float(self.eval_array(np.array([float(x)]), extend)[0])
 
     def eval_array(self, xs: np.ndarray, extend: bool = False) -> np.ndarray:
-        """Vectorized right-continuous evaluation."""
+        """Vectorized right-continuous evaluation, snapping near-boundary points."""
         xs = np.asarray(xs, dtype=float)
         t = (xs - self.x0) / self.h
+        if not np.all(np.isfinite(t)):
+            raise DomainError("evaluation points must be finite")
         k = np.round(t)
         t = np.where(np.abs(t - k) <= GRID_SNAP * np.maximum(1.0, np.abs(t)), k, t)
-        idx = np.floor(t).astype(int)
+        # cells -1 and n stand for every point beyond the ends; the cast stays in range
+        idx = np.floor(np.clip(t, -1.0, self.n)).astype(int)
         if extend:
             idx = np.clip(idx, 0, self.n - 1)
         else:

@@ -184,3 +184,33 @@ def forbid_large_arange(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np, "arange", guarded)
+
+
+def detect_jumps_loop(samples: SampledFunction, a: float, b: float):
+    """Oracle for dirichlet._detect_jumps: its flagged increments walked
+    one run at a time, each run reported at the midpoint of its cell
+    boundaries unless it lies within 1.5 h of a or b."""
+    v = samples.values
+    h = samples.h
+    deltas = np.abs(np.diff(v))
+    n = deltas.size
+    above = deltas > 10.0 * float(np.median(deltas)) + 1e-9
+    locations = []
+    sizes = []
+    i = 0
+    while i < n:
+        if not above[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and above[j + 1]:
+            j += 1
+        # increment i sits at the cell boundary x_{i+1}
+        x_lo = samples.x0 + (i + 1) * h
+        x_hi = samples.x0 + (j + 1) * h
+        loc = 0.5 * (x_lo + x_hi)
+        if a + 1.5 * h < loc < b - 1.5 * h:
+            locations.append(float(loc))
+            sizes.append(float(abs(v[j + 1] - v[i])))
+        i = j + 1
+    return locations, sizes

@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     aligned_problem,
     closed_form_value,
     dense_lattice_solve,
+    detect_jumps_loop,
     explicit_lattice_values,
     forbid_large_arange,
     left_dominant_problem,
@@ -20,6 +21,7 @@ from helpers import (
 )
 from oschet.dirichlet import (
     DrProblem,
+    _detect_jumps,
     _solve_points,
     dr_apply,
     kbar,
@@ -148,6 +150,38 @@ def test_staircase_jumps_on_the_lattice():
     assert len(sol.jump_points) == 3
     for found, true in zip(sorted(sol.jump_points), (0.25, 0.5, 0.75)):
         assert abs(found - true) <= h
+
+
+@st.composite
+def step_profiles(draw):
+    """Samples built from flat, smooth and jump increments, with a and b on,
+    or half a cell off, the cell boundaries so runs land on both sides of
+    the 1.5 h margins."""
+    n = draw(st.integers(2, 40))
+    rises = {"flat": 0.0, "smooth": 1e-4, "up": 1.0, "down": -0.5}
+    kinds = draw(st.lists(st.sampled_from(sorted(rises)), min_size=n - 1, max_size=n - 1))
+    noise = draw(st.floats(0.0, 1e-6))
+    values = np.concatenate(([0.0], np.cumsum([rises[k] for k in kinds])))
+    values = values + noise * np.sin(np.arange(n))
+    h = draw(st.sampled_from([1e-4, 1e-3, 0.1, 0.25]))
+    x0 = draw(st.floats(-2.0, 2.0))
+    a = x0 + h * (draw(st.integers(-2, n)) + draw(st.sampled_from([-0.5, 0.0, 0.5])))
+    b = x0 + h * (draw(st.integers(0, n + 2)) + draw(st.sampled_from([-0.5, 0.0, 0.5])))
+    return values.tolist(), x0, h, a, b
+
+
+@given(case=step_profiles())
+@example(case=([0, 1, 2, 2, 2, 2, 2, 2], 0.0, 0.1, -1.0, 2.0))  # run at the left end
+@example(case=([0, 0, 0, 0, 0, 0, 1, 2], 0.0, 0.1, -1.0, 2.0))  # run at the right end
+@example(case=([0, 0, 0, 1, 2, 3, 3, 3, 3], 0.0, 0.1, -1.0, 2.0))  # merged increments
+@example(case=([0, 0, 1, 1, 1, 1, 1, 1, 1, 1], 0.0, 0.1, 0.1, 2.0))  # within 1.5 h of a
+@example(case=([0, 0, 1, 1, 1, 1, 1, 1, 1, 1], 0.0, 0.1, 0.0, 2.0))  # just clear of a
+@example(case=([0, 0, 0, 0, 0, 0, 0, 0, 1, 1], 0.0, 0.1, -1.0, 0.9))  # within 1.5 h of b
+@settings(max_examples=300)
+def test_jump_scan_matches_the_run_loop(case):
+    values, x0, h, a, b = case
+    samples = SampledFunction(x0, h, values)
+    assert _detect_jumps(samples, a, b) == detect_jumps_loop(samples, a, b)
 
 
 def test_grid_solution_eval_and_step_validation():

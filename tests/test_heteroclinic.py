@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oschet import heteroclinic
 from oschet.errors import (
     ConvergenceError,
     DomainError,
@@ -250,10 +251,19 @@ def test_profile_rejects_escaping_values():
 
 
 def test_profile_rejects_broken_symmetry():
-    with pytest.raises(DomainError):
-        LatticeProfile(0.5, -1, 1, np.array([-0.5, 0.1, 0.5]), "node_odd")
-    # and accepts an exact one
+    cases = [
+        (-1, 1, [-0.5, 0.1, 0.5], "node_odd"),  # values not odd about 0
+        (0, 2, [-0.5, 0.0, 0.5], "node_odd"),  # window not centred on the node
+        (-2, 1, [-0.5, -0.1, 0.2, 0.5], "bond_odd"),  # values not odd about -1/2
+        (-1, 1, [-0.5, 0.0, 0.5], "bond_odd"),  # window not centred on the bond
+        (-1, 1, [-0.5, 0.0, 0.5], "odd"),  # not a symmetry at all
+    ]
+    for n_min, n_max, values, symmetry in cases:
+        with pytest.raises(DomainError):
+            LatticeProfile(0.5, n_min, n_max, np.array(values), symmetry)
+    # and accepts exact ones
     LatticeProfile(0.5, -1, 1, np.array([-0.5, 0.0, 0.5]), "node_odd")
+    LatticeProfile(0.5, -2, 1, np.array([-0.5, -0.2, 0.2, 0.5]), "bond_odd")
 
 
 def test_recurrence_step_reproduces_stationarity():
@@ -326,6 +336,29 @@ def test_shooting_with_unreachable_tol_terminates():
     for symmetry in ("node_odd", "bond_odd"):
         with pytest.raises(ConvergenceError, match="closest"):
             shoot_heteroclinic(0.5, W, symmetry, tol=1e-30)
+
+
+def test_shooting_classifies_each_seed_once(monkeypatch):
+    # the bisection keeps the orbit of its inside seed; integrating a seed
+    # twice, as a final pass over the bracket's inside end would, is waste
+    real = heteroclinic._orbit_classify
+    seeds = []
+
+    def counted(s, *args):
+        seeds.append(s)
+        return real(s, *args)
+
+    monkeypatch.setattr(heteroclinic, "_orbit_classify", counted)
+    W = quartic()
+    for symmetry in ("node_odd", "bond_odd"):
+        seeds.clear()
+        shoot_heteroclinic(0.5, W, symmetry)
+        assert len(seeds) == len(set(seeds)) > 2
+        seeds.clear()
+        # no orbit comes within 1e-30, so the bisection runs down to roundoff
+        with pytest.raises(ConvergenceError, match="closest"):
+            shoot_heteroclinic(0.5, W, symmetry, tol=1e-30)
+        assert len(seeds) == len(set(seeds)) > 2
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,7 @@ def test_array_evaluation_matches_scalar(factory, ts):
     arr = eval_w_array(W, np.array(ts))
     darr = eval_dw_array(W, np.array(ts))
     for i, t in enumerate(ts):
-        for x in (t, np.float64(t)):
+        for x in (t, np.float64(t), np.array(t)):
             assert W.w(x) == arr[i]
             assert W.dw(x) == darr[i]
         assert eval_w(W, t) == arr[i]

@@ -197,10 +197,30 @@ def test_eval_snaps_roundoff_near_cell_edges():
 def test_eval_array_matches_scalar_eval():
     rng = np.random.default_rng(5)
     u = SampledFunction(-1.0, 0.05, rng.uniform(-1, 1, 60))
-    xs = rng.uniform(-1.0, -1.0 + 0.05 * 59, 40)
+    # random points and the cell edges as computed, some a hair off the grid
+    xs = np.concatenate((rng.uniform(-1.0, -1.0 + 0.05 * 59, 40), -1.0 + 0.05 * np.arange(60)))
     arr = u.eval_array(xs)
     for x, v in zip(xs, arr):
         assert v == u.eval(float(x))
+        # the cell index written out for one scalar: snap, then floor
+        t = (float(x) - u.x0) / u.h
+        k = round(t)
+        i = k if abs(t - k) <= 1e-9 * max(1.0, abs(t)) else math.floor(t)
+        assert v == u.values[i]
+
+
+def test_eval_rejects_nonfinite_points():
+    u = SampledFunction(0.0, 0.5, np.array([10.0, 20.0, 30.0]))
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            u.eval(x, extend=True)
+        with pytest.raises(DomainError):
+            u.eval_array(np.array([0.25, x]), extend=True)
+    # far but finite points clamp to the end cells
+    assert u.eval(1e300, extend=True) == 30.0
+    assert u.eval(-1e300, extend=True) == 10.0
+    with pytest.raises(DomainError):
+        u.eval(1e300)
 
 
 def test_from_callable_vectorizes_or_loops():
