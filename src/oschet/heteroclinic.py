@@ -29,9 +29,15 @@ Both symmetric problems are reduced to their free coordinates; reported
 values are always recomputed from the full windowed sum on the assembled
 profile.  All three are one box problem whose Hessian is tridiagonal,
 (s/r^2) tridiag(-1, 2, -1) + s diag(W''), and they share one projected
-Newton method (Bertsekas 1982) run from several deterministic starts:
-a Thomas solve on the free sites, a Levenberg shift where W'' < 0 makes
-that block indefinite, and an Armijo search along the projection arc.
+Newton method (Bertsekas 1982): a Thomas solve on the free sites, a
+Levenberg shift where W'' < 0 makes that block indefinite, and an Armijo
+search along the projection arc.  It descends from several deterministic
+starts at once, one row of a (starts x sites) array each, so that one
+numpy call serves every live start.  The search stays in the monotone
+cone, where the minimizers lie: sorting the free values (for the odd
+symmetries, sorting their odd extension) never raises the energy, so each
+start, and each iterate that leaves the cone, is replaced by its
+rearrangement when that does not raise its objective.
 
 shoot_heteroclinic integrates the recurrence directly and bisects on the
 first free value until the orbit lands on the well at +1, which produces
@@ -170,7 +176,10 @@ class SolverOptions:
 
     tol bounds the EL residual of a converged start and max_iters the Newton
     iterations summed over all starts: multistart of ramp, steps and seeded
-    random profiles, then extra_starts.
+    random profiles, then extra_starts, each rearranged into the monotone
+    cone, duplicates dropped.  The starts descend in lockstep, one iteration
+    each per round; when less budget is left than there are live starts, the
+    earlier ones take it.
     """
 
     tol: float = 1e-10
@@ -257,6 +266,7 @@ LEVENBERG_START = 1e-6  # first Levenberg shift, in units of s/r^2
 ROUNDOFF = 1e-14  # relative objective change that rounding alone can produce
 STALL_ITERS = 25  # a start whose decrease stays at roundoff this long has stalled
 FD_STEP = 1e-6  # central-difference step for W'' from W'
+MAX_K = 10**5  # largest window a solver accepts; each start stores K free sites
 
 
 class _BoxProblem:
@@ -267,11 +277,12 @@ class _BoxProblem:
     node_odd doubles the mirrored half; bond_odd's reflection w_{-1} = -z_0
     counts its central square once, hence lam = 2.  The Hessian is
     tridiagonal: -s / r^2 off the diagonal, s (2 / r^2 + W'') on it, plus
-    s (lam - 1) / r^2 at z_0.
+    s (lam - 1) / r^2 at z_0.  objective, grad_curv and rearrange work
+    row-wise on a (starts x d) array, one row per start.
     """
 
     def __init__(self, K: int, r: float, W: DoubleWell, symmetry: str):
-        drop, self.s, self.a, self.lam, _ = _FLAVORS[symmetry]
+        drop, self.s, self.a, self.lam, self.mirror = _FLAVORS[symmetry]
         self.K = K
         self.r = r
         self.W = W
@@ -281,20 +292,49 @@ class _BoxProblem:
         # EL residual on the profile equals res_scale * |reduced gradient|
         self.res_scale = r * r / self.s
 
-    def objective(self, z: np.ndarray) -> float:
-        d = np.diff(z, append=1.0)
-        kin = self.lam * (z[0] - self.a) ** 2 + float(d @ d)
-        return self.s * (0.5 * self.inv_r2 * kin + float(np.sum(eval_w_array(self.W, z))))
+    def objective(self, Z: np.ndarray) -> np.ndarray:
+        d = Z[..., 1:] - Z[..., :-1]
+        ends = self.lam * (Z[..., 0] - self.a) ** 2 + (1.0 - Z[..., -1]) ** 2
+        kin = ends + np.einsum("...i,...i->...", d, d)
+        return self.s * (0.5 * self.inv_r2 * kin + np.sum(eval_w_array(self.W, Z), axis=-1))
 
-    def grad_curv(self, z: np.ndarray):
+    def grad_curv(self, Z: np.ndarray):
         """Gradient and s * W''(z), the potential's part of the Hessian diagonal."""
-        n = z.size
+        n = Z.shape[-1]
         # z_0's left neighbour: -1 (none), 0 (node_odd) or the reflection -z_0 (bond_odd)
-        left = np.concatenate((((1.0 - self.lam) * z[0] + self.lam * self.a,), z[:-1]))
-        right = np.append(z[1:], 1.0)
-        dw = eval_dw_array(self.W, np.concatenate((z, z + FD_STEP, z - FD_STEP)))
-        grad = self.s * (self.inv_r2 * (2.0 * z - left - right) + dw[:n])
-        return grad, self.s * (dw[n : 2 * n] - dw[2 * n :]) / (2.0 * FD_STEP)
+        anchor = (1.0 - self.lam) * Z[..., :1] + self.lam * self.a
+        left = np.concatenate((anchor, Z[..., :-1]), axis=-1)
+        right = np.concatenate((Z[..., 1:], np.ones_like(Z[..., :1])), axis=-1)
+        dw = eval_dw_array(self.W, np.concatenate((Z, Z + FD_STEP, Z - FD_STEP), axis=-1))
+        grad = self.s * (self.inv_r2 * (2.0 * Z - left - right) + dw[..., :n])
+        return grad, self.s * (dw[..., n : 2 * n] - dw[..., 2 * n :]) / (2.0 * FD_STEP)
+
+    def rearrange(self, Z: np.ndarray) -> np.ndarray:
+        """The monotone rearrangement of each row: the sorted values for none,
+        and for the odd symmetries the upper half of the sorted odd extension.
+
+        Sorting values between ends pinned at -1 and +1 never raises their
+        kinetic sum (the rearrangement inequality, Hardy, Littlewood & Polya
+        ch. X) and leaves their potential sum as it is.  For the odd
+        symmetries this applies to the odd extension, and taking |z| keeps
+        the potential sum only when W is even.
+        """
+        return np.sort(Z if self.mirror is None else np.abs(Z), axis=-1)
+
+    def into_cone(self, Z: np.ndarray, F: np.ndarray) -> np.ndarray:
+        """Replace rows of Z by their rearrangement where that does not raise
+        their objective F, in place; returns the indices of the replaced rows.
+
+        The check keeps each replacement a descent step for a W that is not even.
+        """
+        R = self.rearrange(Z)
+        rows = np.flatnonzero(np.any(R != Z, axis=-1))
+        if rows.size:
+            f_sorted = self.objective(R[rows])
+            keep = f_sorted <= F[rows]
+            rows = rows[keep]
+            Z[rows], F[rows] = R[rows], f_sorted[keep]
+        return rows
 
     def profile(self, z: np.ndarray) -> LatticeProfile:
         return _assemble(self.r, np.append(z, 1.0), self.symmetry)
@@ -304,7 +344,12 @@ class _BoxProblem:
         lead = 1.0 - 0.5 * (self.lam - 1.0)
         return self.a + (1.0 - self.a) * (np.arange(self.dim) + lead) / (self.dim + lead)
 
-    def starts(self, opts: SolverOptions):
+    def starts(self, opts: SolverOptions) -> np.ndarray:
+        """Ramp, steps, seeded random profiles, then extra_starts, one per row.
+
+        Each is moved into the monotone cone and exact duplicates are dropped:
+        the odd symmetries' step starts all become the centred step.
+        """
         d = self.dim
         rng = np.random.default_rng(opts.seed)
         pool = [self.ramp_start()]
@@ -319,13 +364,16 @@ class _BoxProblem:
                 raise PreconditionError(
                     f"extra start has shape {arr.shape}, expected ({d},)"
                 )
-            pool.append(np.clip(arr, -1.0, 1.0))
-        return pool
+            pool.append(arr)
+        Z = np.clip(np.array(pool), -1.0, 1.0)
+        self.into_cone(Z, self.objective(Z))
+        return np.array(list(dict.fromkeys(map(tuple, Z.tolist()))))
 
 
-def _projected_residual(g: np.ndarray, z: np.ndarray) -> float:
-    blocked = ((z <= -1.0) & (g > 0.0)) | ((z >= 1.0) & (g < 0.0))
-    return float(np.max(np.abs(np.where(blocked, 0.0, g))))
+def _projected_residual(G: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Largest gradient entry per row that the bounds do not block."""
+    blocked = ((Z <= -1.0) & (G > 0.0)) | ((Z >= 1.0) & (G < 0.0))
+    return np.max(np.abs(np.where(blocked, 0.0, G)), axis=-1)
 
 
 def _thomas(diag: list, off: list, rhs: list, floor: float):
@@ -347,99 +395,122 @@ def _thomas(diag: list, off: list, rhs: list, floor: float):
     return x
 
 
-def _newton_direction(problem: _BoxProblem, g, curv, active):
+def _newton_direction(problem: _BoxProblem, G, C, active) -> np.ndarray:
     """Newton step on the free sites, scaled gradient step on the active ones.
 
-    Active rows are decoupled, so one Thomas solve serves both.  An indefinite
-    free block is retried with a Levenberg shift growing tenfold from
-    LEVENBERG_START s / r^2; once it covers max(-s W'') every pivot is >= s / r^2.
+    Active rows of the Hessian are decoupled, so one Thomas solve per start
+    serves both.  An indefinite free block is retried with a Levenberg shift
+    growing tenfold from LEVENBERG_START s / r^2; once it covers max(-s W'')
+    every pivot is >= s / r^2.
     """
     unit = problem.s * problem.inv_r2
-    diag = np.where(active, 0.0, curv) + 2.0 * unit
-    diag[0] += (problem.lam - 1.0) * unit
-    off = np.full(g.size - 1, -unit)
-    off[active[:-1] | active[1:]] = 0.0
-    off, rhs = off.tolist(), (-g).tolist()
-    shift = 0.0
-    while True:
-        d = _thomas((diag + shift).tolist(), off, rhs, PIVOT_FLOOR * unit)
-        if d is not None:
-            return np.asarray(d)
-        shift = max(10.0 * shift, LEVENBERG_START * unit)
+    diag = np.where(active, 0.0, C) + 2.0 * unit
+    diag[:, 0] += (problem.lam - 1.0) * unit
+    off = np.where(active[:, :-1] | active[:, 1:], 0.0, -unit)
+    steps = []
+    for dg, of, rhs in zip(diag.tolist(), off.tolist(), (-G).tolist()):
+        shift = 0.0
+        while (d := _thomas([x + shift for x in dg], of, rhs, PIVOT_FLOOR * unit)) is None:
+            shift = max(10.0 * shift, LEVENBERG_START * unit)
+        steps.append(d)
+    return np.array(steps)
 
 
-def _descend(problem: _BoxProblem, z: np.ndarray, tol: float, budget: int):
-    """Projected Newton from one start (Bertsekas, SIAM J. Control Optim. 1982).
+def _descend(problem: _BoxProblem, Z: np.ndarray, tol: float, budget: int):
+    """Projected Newton from every start at once (Bertsekas, SIAM J. Control
+    Optim. 1982), one row of Z per start.
 
-    Each iteration takes the epsilon-active set, eps = min(ACTIVE_EPS,
+    Each iteration takes, per row, the epsilon-active set, eps = min(ACTIVE_EPS,
     |z - P(z - r^2 g / s)|), and backtracks along the projection arc
-    P(z + t d) until the Armijo decrease holds, or, once the objective
-    moves only at roundoff (as near a well), until the projected gradient
-    shrinks.  Stops at tol, at the budget, or after STALL_ITERS steps of
-    roundoff-sized decrease.  Returns the final point and iterations used.
+    P(z + t d) until the Armijo decrease holds, or, once the objective moves
+    only at roundoff (as near a well), until the projected gradient shrinks.
+    The live rows step in lockstep, so each numpy call serves all of them; only
+    the rows still pending take another backtracking trial.  A row whose
+    accepted step leaves the monotone cone is replaced by its rearrangement
+    when that does not raise its objective.  A row drops out at tol, after
+    STALL_ITERS steps of roundoff-sized decrease, or when no step down to
+    MIN_STEP is acceptable.  budget bounds the iterations summed over the rows;
+    when less is left than there are live rows, the earlier rows step first.
+    Returns the final points and the iterations used.
     """
-    z = np.clip(z, -1.0, 1.0)
-    f = problem.objective(z)
-    g, curv = problem.grad_curv(z)
-    res = _projected_residual(g, z)
+    F = problem.objective(Z)
+    G, C = problem.grad_curv(Z)
+    res = _projected_residual(G, Z)
     stop = tol / problem.res_scale
-    iters = 0
-    quiet = 0  # consecutive iterations whose decrease was at roundoff
-    while iters < budget and res >= stop and quiet < STALL_ITERS:
-        iters += 1
+    quiet = np.zeros(len(Z), dtype=int)  # consecutive iterations whose decrease was at roundoff
+    live = res >= stop
+    used = 0
+    while used < budget and live.any():
+        rows = np.flatnonzero(live)[: budget - used]
+        used += rows.size
+        z, g, f = Z[rows], G[rows], F[rows]
         pg = z - np.clip(z - problem.res_scale * g, -1.0, 1.0)
-        eps = min(ACTIVE_EPS, math.sqrt(float(pg @ pg)))
+        eps = np.minimum(ACTIVE_EPS, np.sqrt(np.einsum("ij,ij->i", pg, pg)))[:, None]
         active = ((z <= -1.0 + eps) & (g > 0.0)) | ((z >= 1.0 - eps) & (g < 0.0))
-        d = _newton_direction(problem, g, curv, active)
-        free_slope = float(g[~active] @ d[~active])
-        t = 1.0
-        while t >= MIN_STEP:
-            trial = np.clip(z + t * d, -1.0, 1.0)
+        d = _newton_direction(problem, g, C[rows], active)
+        g_active = np.where(active, g, 0.0)
+        free_slope = np.einsum("ij,ij->i", g - g_active, d)
+        t = np.ones(rows.size)
+        pending = np.arange(rows.size)
+        accepted = np.zeros(rows.size, dtype=bool)
+        while pending.size:
+            zp, fp = z[pending], f[pending]
+            trial = np.clip(zp + t[pending, None] * d[pending], -1.0, 1.0)
             f_trial = problem.objective(trial)
-            want = ARMIJO_C * (float(g[active] @ (z[active] - trial[active])) - t * free_slope)
-            armijo = f - f_trial >= want
-            if armijo or abs(f - f_trial) <= ROUNDOFF * abs(f):
-                g_trial, curv_trial = problem.grad_curv(trial)
-                if armijo or _projected_residual(g_trial, trial) < res:
-                    break
-            t *= BACKTRACK
-        else:
-            break  # no acceptable step: stalled at roundoff
-        quiet = quiet + 1 if f - f_trial <= ROUNDOFF * abs(f) else 0
-        z, f, g, curv = trial, f_trial, g_trial, curv_trial
-        res = _projected_residual(g, z)
-    return z, iters
+            drop = np.einsum("ij,ij->i", g_active[pending], zp - trial)
+            ok = fp - f_trial >= ARMIJO_C * (drop - t[pending] * free_slope[pending])
+            look = np.flatnonzero(ok | (np.abs(fp - f_trial) <= ROUNDOFF * np.abs(fp)))
+            if look.size:
+                g_trial, c_trial = problem.grad_curv(trial[look])
+                ok[look] |= _projected_residual(g_trial, trial[look]) < res[rows[pending[look]]]
+                won = ok[look]
+                i = rows[pending[look[won]]]
+                Z[i], F[i] = trial[look[won]], f_trial[look[won]]
+                G[i], C[i] = g_trial[won], c_trial[won]
+            accepted[pending[ok]] = True
+            pending = pending[~ok]
+            t[pending] *= BACKTRACK
+            live[rows[pending[t[pending] < MIN_STEP]]] = False  # stalled at roundoff
+            pending = pending[t[pending] >= MIN_STEP]
+        i = rows[accepted]
+        if i.size:
+            zi, fi = Z[i], F[i]
+            moved = problem.into_cone(zi, fi)
+            if moved.size:
+                Z[i], F[i] = zi, fi
+                G[i[moved]], C[i[moved]] = problem.grad_curv(zi[moved])
+            f0 = f[accepted]
+            quiet[i] = np.where(f0 - fi <= ROUNDOFF * np.abs(f0), quiet[i] + 1, 0)
+            res[i] = _projected_residual(G[i], Z[i])
+            live[i] = (res[i] >= stop) & (quiet[i] < STALL_ITERS)
+    return Z, used
 
 
 def _minimize(problem: _BoxProblem, opts: SolverOptions) -> SolveReport:
+    if opts.max_iters <= 0:
+        raise ConvergenceError("iteration budget exhausted before any start ran")
+    Z, used = _descend(problem, problem.starts(opts), opts.tol, opts.max_iters)
     candidates = []
-    total_iters = 0
-    for z0 in problem.starts(opts):
-        if total_iters >= opts.max_iters:
-            break
-        z, used = _descend(problem, z0, opts.tol, opts.max_iters - total_iters)
-        total_iters += used
+    for z in Z:
         prof = problem.profile(z)
         res = el_residual(prof, problem.W)
         val = discrete_energy(prof, problem.W, prof.n_min, problem.K)
         candidates.append((round(val * 1e12), res > opts.tol, tuple(z), val, res, prof))
-    if not candidates:
-        raise ConvergenceError("iteration budget exhausted before any start ran")
-    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-    _, _, _, val, res, prof = candidates[0]
+    _, _, _, val, res, prof = min(candidates, key=lambda c: c[:3])
     return SolveReport(
         minimizer=prof,
         value=val,
         el_residual=res,
-        iterations=total_iters,
+        iterations=used,
         converged=res <= opts.tol,
     )
 
 
 def _solve(K: int, r: float, W: DoubleWell, opts: Optional[SolverOptions], symmetry: str):
     k_min = 1 + _FLAVORS[symmetry][0]
-    if int(K) != K or K < k_min:
-        raise PreconditionError(f"K must be an integer >= {k_min}, got {K}")
+    # the comparisons come first, so inf and NaN fail them before int() sees them
+    if not (k_min <= K <= MAX_K and int(K) == K):
+        raise PreconditionError(f"K must be an integer in [{k_min}, {MAX_K}], got {K}")
     if not (r > 0.0 and math.isfinite(r)):
         raise PreconditionError(f"range r must be positive and finite, got {r}")
     if W.dw is None:

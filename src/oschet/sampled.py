@@ -100,9 +100,10 @@ class SampledFunction:
     def eval_array(self, xs: np.ndarray, extend: bool = False) -> np.ndarray:
         """Vectorized right-continuous evaluation, snapping near-boundary points."""
         xs = np.asarray(xs, dtype=float)
-        t = (xs - self.x0) / self.h
-        if not np.all(np.isfinite(t)):
+        if not np.all(np.isfinite(xs)):
             raise DomainError("evaluation points must be finite")
+        # clipped one cell beyond each end, so (x - x0) / h cannot overflow
+        t = (np.clip(xs, self.x0 - self.h, self.x0 + (self.n + 1) * self.h) - self.x0) / self.h
         k = np.round(t)
         t = np.where(np.abs(t - k) <= GRID_SNAP * np.maximum(1.0, np.abs(t)), k, t)
         # cells -1 and n stand for every point beyond the ends; the cast stays in range

@@ -171,6 +171,14 @@ def test_dirichlet_rejects_overfine_grids(capsys, monkeypatch):
     assert "samples" in capsys.readouterr().err
 
 
+def test_huge_window_is_refused_before_allocating(monkeypatch, capsys):
+    forbid_large_arange(monkeypatch)
+    for symmetry in ("none", "node", "bond"):
+        code = run(["solve-heteroclinic", "--K", str(10**9), "--r", "0.5", "--symmetry", symmetry])
+        assert code == 2
+        assert "K must be" in capsys.readouterr().err
+
+
 def test_converge_study_rows(capsys):
     code, doc = run_json(
         capsys, ["converge-study", "--r-list", "0.4,0.2", "--potential", "quartic"]

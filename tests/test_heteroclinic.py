@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import forbid_large_arange
 from oschet import heteroclinic
 from oschet.errors import (
     ConvergenceError,
@@ -30,6 +31,8 @@ from oschet.heteroclinic import (
 )
 from oschet.potential import custom, eval_w, eval_w_array, pendulum, quartic
 from oschet.sampled import SampledFunction, energy_E, energy_F
+
+WELLS = {"quartic": quartic(), "pendulum": pendulum()}
 
 
 def window_energy(values, r, W):
@@ -208,6 +211,36 @@ def test_large_window_still_converges():
     assert report.el_residual <= 1e-10
     # the connection fits well inside the window: doubling it changes nothing
     assert abs(report.value - solve_symmetric_node(64, 0.25, W).value) < 1e-10
+    # multi-kink starts rearranged into the monotone cone do not creep
+    assert report.iterations <= 200
+    bond = solve_symmetric_bond(96, 0.25, W)
+    assert bond.converged
+    assert bond.iterations <= 200
+
+
+def test_iteration_budget_bounds_the_summed_iterations():
+    W = quartic()
+    for solve in (solve_discrete_dirichlet, solve_symmetric_node):
+        for budget in (0, -3):
+            with pytest.raises(ConvergenceError):
+                solve(12, 0.5, W, SolverOptions(max_iters=budget))
+        for budget in range(1, 21):
+            report = solve(12, 0.5, W, SolverOptions(max_iters=budget))
+            assert report.iterations <= budget
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_rearrangement_never_raises_the_objective(data):
+    W = WELLS[data.draw(st.sampled_from(sorted(WELLS)))]
+    symmetry = data.draw(st.sampled_from(["none", "node_odd", "bond_odd"]))
+    K = data.draw(st.integers(2, 40))
+    problem = heteroclinic._BoxProblem(K, data.draw(st.floats(0.05, 2.0)), W, symmetry)
+    z = np.array(
+        data.draw(st.lists(st.floats(-1.0, 1.0), min_size=problem.dim, max_size=problem.dim))
+    )
+    f = problem.objective(z)
+    assert problem.objective(problem.rearrange(z)) <= f + 1e-14 * abs(f)
 
 
 def test_solver_rejects_bad_arguments():
@@ -222,6 +255,17 @@ def test_solver_rejects_bad_arguments():
         solve_symmetric_bond(1, 0.5, W)
     with pytest.raises(UnsupportedOperationError):
         solve_discrete_dirichlet(4, 0.5, custom(lambda t: (1 - t * t) ** 2 / 4))
+
+
+def test_window_size_is_capped_before_allocating(monkeypatch):
+    forbid_large_arange(monkeypatch)
+    W = quartic()
+    for solve in (solve_discrete_dirichlet, solve_symmetric_node, solve_symmetric_bond):
+        for K in (10**9, math.inf, math.nan):
+            with pytest.raises(PreconditionError, match="K must be"):
+                solve(K, 0.5, W)
+        with pytest.raises(PreconditionError, match="K must be"):
+            solve(heteroclinic.MAX_K + 1, 0.5, W)
 
 
 def test_extra_start_shape_is_checked():

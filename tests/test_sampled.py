@@ -223,6 +223,18 @@ def test_eval_rejects_nonfinite_points():
         u.eval(1e300)
 
 
+def test_eval_far_beyond_float_range_of_the_grid():
+    # (x - x0) / h overflows for these points, yet they are finite
+    u = SampledFunction(0.0, 0.5, np.array([10.0, 20.0, 30.0]))
+    big = float(np.finfo(float).max)
+    for x, end in ((1e308, 30.0), (big, 30.0), (-1e308, 10.0), (-big, 10.0)):
+        assert u.eval(x, extend=True) == end
+        with pytest.raises(DomainError, match="outside the sampled domain"):
+            u.eval(x)
+    far = np.array([0.25, big, -big, 1.25, 1e308])
+    assert list(u.eval_array(far, extend=True)) == [10.0, 30.0, 10.0, 30.0, 30.0]
+
+
 def test_from_callable_vectorizes_or_loops():
     fv = SampledFunction.from_callable(lambda x: np.sin(x), 0.0, 0.1, 30)
     fs = SampledFunction.from_callable(lambda x: math.sin(x), 0.0, 0.1, 30)
