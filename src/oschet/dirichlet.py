@@ -28,7 +28,8 @@ Every evaluation, collars included, goes through one array evaluator
 that sums the formula along each point's chain in row blocks of about
 max(points, N) entries, so memory stays linear in the number of points
 plus the chain length; DrProblem rejects chains of more than MAX_CHAIN
-links, and solve_dr_on_grid grids of more than MAX_GRID_SAMPLES samples.
+links, and solve_dr_on_grid and the three checks reject more than
+MAX_GRID_SAMPLES samples.
 """
 
 from __future__ import annotations
@@ -291,29 +292,58 @@ def _null_set_distance(xs: np.ndarray, p: DrProblem) -> np.ndarray:
     return p.r * np.minimum(da, db)
 
 
-def residual_check(p: DrProblem, n_samples: int = 1000) -> CheckReport:
-    """Verify D_r u = f to RESIDUAL_TOL at quasi-random interior points.
+def _check_sample_count(n_samples: int, least: int) -> None:
+    """Reject a sample count below least or above MAX_GRID_SAMPLES."""
+    if n_samples < least:
+        raise PreconditionError(f"n_samples must be at least {least}, got {n_samples}")
+    if n_samples > MAX_GRID_SAMPLES:
+        raise PreconditionError(
+            f"n_samples={n_samples} is above the limit of {MAX_GRID_SAMPLES:.0e}"
+        )
 
-    Points within EXCLUSION_TOL of the lattice null set are skipped; the
-    solution may genuinely jump there and the three chain points of the
-    operator would straddle different chains.
+
+def _residual_points(p: DrProblem, n_samples: int) -> np.ndarray:
+    """The first n_samples golden-ratio points of (a, b) off the null set.
+
+    Candidate k = 1, 2, ... sits at a + frac(k * GOLDEN_FRAC) * (b - a);
+    candidates within EXCLUSION_TOL of the lattice null set are dropped.
+    The walk takes 2 * n_samples candidates at a time, stops once
+    n_samples have survived and gives up after 50 * n_samples.
     """
-    if n_samples < 1:
-        raise PreconditionError(f"n_samples must be positive, got {n_samples}")
-    k = np.arange(1, 50 * n_samples + 1)
-    cand = p.a + ((k * GOLDEN_FRAC) % 1.0) * (p.b - p.a)
-    cand = cand[_null_set_distance(cand, p) >= EXCLUSION_TOL]
-    xs = cand[:n_samples]
-    if xs.size == 0:
+    chunk, limit = 2 * n_samples, 50 * n_samples
+    kept, found = [], 0
+    for start in range(1, limit + 1, chunk):
+        k = np.arange(start, min(start + chunk, limit + 1))
+        cand = p.a + ((k * GOLDEN_FRAC) % 1.0) * (p.b - p.a)
+        cand = cand[_null_set_distance(cand, p) >= EXCLUSION_TOL]
+        kept.append(cand)
+        found += cand.size
+        if found >= n_samples:
+            break
+    if found == 0:
         raise PreconditionError(
             "every candidate point fell inside the excluded lattice null set"
         )
+    return np.concatenate(kept)[:n_samples]
+
+
+def residual_check(p: DrProblem, n_samples: int = 1000) -> CheckReport:
+    """Verify D_r u = f to RESIDUAL_TOL at quasi-random interior points.
+
+    The points are the first n_samples golden-ratio candidates that lie
+    at least EXCLUSION_TOL from the lattice null set, where the solution
+    may genuinely jump and the three chain points of the operator would
+    straddle different chains.  Candidates are walked in chunks of
+    2 * n_samples, up to 50 * n_samples in all, so a typical call builds
+    only about twice the points it checks.  u is evaluated at x + r,
+    x - r and x in one pass of the evaluator.  n_samples may not exceed
+    MAX_GRID_SAMPLES.
+    """
+    _check_sample_count(n_samples, 1)
+    xs = _residual_points(p, n_samples)
     r = p.r
-    residual = np.abs(
-        (_solve_points(p, xs + r) + _solve_points(p, xs - r) - 2.0 * _solve_points(p, xs))
-        / (r * r)
-        - _values(p.f, xs)
-    )
+    up, down, mid = _solve_points(p, np.concatenate((xs + r, xs - r, xs))).reshape(3, -1)
+    residual = np.abs((up + down - 2.0 * mid) / (r * r) - _values(p.f, xs))
     i = int(np.argmax(residual))
     worst = float(residual[i])
     return CheckReport(
@@ -331,9 +361,9 @@ def max_principle_check(p: DrProblem, n_samples: int = 1000) -> CheckReport:
     The sign hypotheses are verified on sample grids first; a violation
     raises PreconditionError naming the offending point.  The conclusion
     is then checked as sup u <= 1e-12 over the whole band [a - r, b + r].
+    n_samples runs from 2 to MAX_GRID_SAMPLES.
     """
-    if n_samples < 2:
-        raise PreconditionError(f"n_samples must be at least 2, got {n_samples}")
+    _check_sample_count(n_samples, 2)
     for name, data, lo, hi, sign in (
         ("alpha", p.alpha, p.a - p.r, p.a, -1.0),
         ("beta", p.beta, p.b, p.b + p.r, -1.0),
@@ -386,8 +416,10 @@ def regularity_bounds(p: DrProblem, n_samples: int = 2048) -> RegularityReport:
         sup |u|  <=  sup|alpha| + sup|alpha - beta| + ((b-a)^2 + r^2) sup|f|
         jumps    <=  osc alpha + (r/(b-a)) sup|alpha - beta|   (f == 0 only)
 
-    All sups are sample-based on n_samples point grids per band.
+    All sups are sample-based on n_samples point grids per band;
+    n_samples runs from 3 to MAX_GRID_SAMPLES.
     """
+    _check_sample_count(n_samples, 3)
     av = _values(p.alpha, np.linspace(p.a - p.r, p.a, n_samples))
     bv = _values(p.beta, np.linspace(p.b, p.b + p.r, n_samples))
     fv = _values(p.f, np.linspace(p.a, p.b, n_samples)[1:-1])

@@ -2,7 +2,19 @@
 
 import numpy as np
 
-from oschet.dirichlet import DrProblem, kbar, kunder, solve_dr_explicit
+from oschet.dirichlet import (
+    EXCLUSION_TOL,
+    GOLDEN_FRAC,
+    RESIDUAL_TOL,
+    CheckReport,
+    DrProblem,
+    _null_set_distance,
+    _solve_points,
+    _values,
+    kbar,
+    kunder,
+    solve_dr_explicit,
+)
 from oschet.sampled import SampledFunction
 
 
@@ -171,19 +183,60 @@ def left_dominant_problem(rng: np.random.Generator) -> DrProblem:
 
 
 def forbid_large_arange(monkeypatch):
-    """Make np.arange fail on more than 10^8 entries instead of allocating.
+    """Make np.arange and np.linspace fail on more than 10^8 entries
+    instead of allocating.
 
     A grid that a size cap should refuse would otherwise be allocated for
     real (about 12 GB at h = 1e-9 on a unit span) before the test fails.
     """
-    real = np.arange
+    real_arange, real_linspace = np.arange, np.linspace
 
-    def guarded(*args, **kwargs):
-        if args and isinstance(args[0], (int, np.integer)) and args[0] > 10**8:
+    def guarded_arange(*args, **kwargs):
+        ints = all(isinstance(v, (int, np.integer)) for v in args)
+        if ints and len(args) == 1 and args[0] > 10**8:
             raise AssertionError(f"np.arange({args[0]}) allocates the grid")
-        return real(*args, **kwargs)
+        if ints and len(args) in (2, 3) and len(range(*args)) > 10**8:
+            raise AssertionError(f"np.arange{args} allocates the grid")
+        return real_arange(*args, **kwargs)
 
-    monkeypatch.setattr(np, "arange", guarded)
+    def guarded_linspace(start, stop, num=50, *args, **kwargs):
+        if num > 10**8:
+            raise AssertionError(f"np.linspace(..., {num}) allocates the grid")
+        return real_linspace(start, stop, num, *args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", guarded_arange)
+    monkeypatch.setattr(np, "linspace", guarded_linspace)
+
+
+def residual_points_sweep(p: DrProblem, n_samples: int) -> np.ndarray:
+    """Oracle for dirichlet._residual_points: all 50 * n_samples
+    golden-ratio candidates in one sweep, filtered off the null set and
+    cut to the first n_samples (possibly none)."""
+    k = np.arange(1, 50 * n_samples + 1)
+    cand = p.a + ((k * GOLDEN_FRAC) % 1.0) * (p.b - p.a)
+    cand = cand[_null_set_distance(cand, p) >= EXCLUSION_TOL]
+    return cand[:n_samples]
+
+
+def residual_check_sweep(p: DrProblem, n_samples: int) -> CheckReport:
+    """Oracle for dirichlet.residual_check: the one-sweep points and one
+    evaluator call each at x + r, x - r and x."""
+    xs = residual_points_sweep(p, n_samples)
+    r = p.r
+    residual = np.abs(
+        (_solve_points(p, xs + r) + _solve_points(p, xs - r) - 2.0 * _solve_points(p, xs))
+        / (r * r)
+        - _values(p.f, xs)
+    )
+    i = int(np.argmax(residual))
+    worst = float(residual[i])
+    return CheckReport(
+        passed=worst <= RESIDUAL_TOL,
+        worst=worst,
+        worst_x=float(xs[i]),
+        n_checked=int(xs.size),
+        detail=f"max |D_r u - f| = {worst:.3e} over {int(xs.size)} points",
+    )
 
 
 def detect_jumps_loop(samples: SampledFunction, a: float, b: float):

@@ -15,13 +15,17 @@ from helpers import (
     forbid_large_arange,
     left_dominant_problem,
     random_problem,
+    residual_check_sweep,
+    residual_points_sweep,
     sign_constrained_problem,
     trig,
     zero,
 )
 from oschet.dirichlet import (
+    MAX_CHAIN,
     DrProblem,
     _detect_jumps,
+    _residual_points,
     _solve_points,
     dr_apply,
     kbar,
@@ -301,6 +305,73 @@ def test_residual_vanishes_off_the_null_set():
         assert report.passed, report.detail
         assert report.n_checked == 400
         assert report.worst < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.floats(-10.0, 10.0),
+    span=st.floats(1e-6, 10.0),
+    links=st.floats(1.0, 0.99 * MAX_CHAIN),
+    n=st.integers(1, 3000),
+)
+@example(a=0.0, span=1.0, links=MAX_CHAIN, n=3000)  # the null set drops candidates
+@example(a=0.0, span=1e-6, links=1e3, n=10)  # the null set drops every candidate
+def test_residual_points_match_the_one_sweep(a, span, links, n):
+    p = DrProblem(a=a, b=a + span, r=span / links, alpha=zero, beta=zero, f=zero)
+    want = residual_points_sweep(p, n)
+    if want.size == 0:
+        with pytest.raises(PreconditionError, match="null set"):
+            _residual_points(p, n)
+        with pytest.raises(PreconditionError, match="null set"):
+            residual_check(p, n)
+        return
+    got = _residual_points(p, n)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_residual_check_evaluates_the_source_once_per_row_block():
+    calls = []
+
+    def f(x):
+        calls.append(np.size(x))
+        return 0.5 + 0.0 * np.asarray(x, dtype=float)
+
+    links = 4
+    p = DrProblem(a=0.0, b=1.0, r=1.0 / links, alpha=zero, beta=zero, f=f)
+    report = residual_check(p, n_samples=1000)
+    assert report.passed, report.detail
+    # one stacked solve of x + r, x - r and x takes at most links + 1 row
+    # blocks (the last one a remainder), then f runs once at the checked points
+    stacked = len(calls)
+    assert stacked <= links + 2, calls
+    calls.clear()
+    residual_check_sweep(p, 1000)
+    # three separate solves take at least links blocks each
+    assert len(calls) >= 3 * links + 1 > stacked, calls
+
+
+def test_residual_check_matches_the_three_solve_oracle():
+    p = DrProblem(
+        a=-0.5,
+        b=0.5,
+        r=0.01,
+        alpha=trig(0.3, 0.2, -0.1, 1.3),
+        beta=trig(-0.4, 0.1, 0.25, 0.7),
+        f=lambda x: 1.0 - 0.8 * np.asarray(x, dtype=float) ** 2,
+    )
+    assert residual_check(p, n_samples=1000) == residual_check_sweep(p, 1000)
+
+
+def test_check_sample_counts_are_bounded(monkeypatch):
+    forbid_large_arange(monkeypatch)
+    p = DrProblem(a=0.0, b=1.0, r=0.25, alpha=zero, beta=zero, f=zero)
+    for check, too_few in ((residual_check, 0), (max_principle_check, 1), (regularity_bounds, 2)):
+        with pytest.raises(PreconditionError, match="limit"):
+            check(p, 10**8)
+        # fewer would leave a sample grid empty
+        with pytest.raises(PreconditionError, match="at least"):
+            check(p, too_few)
 
 
 def test_residual_check_with_sampled_data():

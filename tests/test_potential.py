@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from oschet import potential
 from oschet.errors import ConvergenceError, DomainError, UnsupportedOperationError
 from oschet.potential import (
     DoubleWell,
@@ -46,6 +47,29 @@ def test_pendulum_cw_closed_form():
 def test_cw_matches_riemann_oracle(factory):
     W = factory()
     assert abs(W.c_w - riemann_cw(W)) < 1e-8
+
+
+def test_builtin_cw_is_integrated_once_per_process(monkeypatch):
+    calls = []
+    real = potential.adaptive_simpson
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(potential, "adaptive_simpson", counted)
+    for factory in (quartic, pendulum):
+        first = factory()
+        assert all(factory().c_w == first.c_w for _ in range(5))
+        # bit for bit the quadrature value, not a closed form
+        assert first.c_w == compute_cw(first)
+    built_in = len(calls) - 2  # the two compute_cw calls above
+    assert built_in <= 2, built_in
+    # custom wells integrate their own c_w at every construction
+    w = lambda t: (1 - t * t) ** 2
+    calls.clear()
+    custom(w), custom(w)
+    assert len(calls) == 2
 
 
 def test_compute_cw_on_custom_potential():
