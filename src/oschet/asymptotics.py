@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .heteroclinic import discrete_energy, shoot_heteroclinic
-from .potential import DoubleWell, eval_w, eval_w_array
+from .potential import BUILTINS, DoubleWell, eval_w, eval_w_array
 from .quadrature import adaptive_simpson
 
 __all__ = [
@@ -164,7 +164,7 @@ def _cached_profile(W: DoubleWell, tol: float) -> ClassicalHeteroclinic:
     pendulum() instance shares one table; a custom well is keyed by
     identity.  At most PROFILE_CACHE_SIZE tables are kept.
     """
-    key = (W.kind if W.kind in ("quartic", "pendulum") else W, float(tol))
+    key = (W.kind if W.kind in BUILTINS else W, float(tol))
     prof = _PROFILE_CACHE.pop(key, None)
     if prof is None:
         prof = ClassicalHeteroclinic(W, tol=tol)

@@ -1,33 +1,31 @@
-"""Command line driver.
+"""Command line driver: 'oschet SUBCOMMAND [options]'.
 
-Subcommands:
-
-  solve-heteroclinic   minimize a windowed discrete connection, JSON report
-  shoot                bisection shooting for the lattice connection, JSON report
-  solve-dirichlet      sample the explicit D_r Dirichlet solution, CSV or JSON
-  converge-study       lattice-to-continuum error table, JSON
-  bounds               explicit energy upper bounds, JSON
-  validate-potential   grid checks of the double-well hypotheses, JSON
+Each subcommand is registered once below, with its description, output
+format and options; USAGE lists them.
 
 Exit codes: 0 success, 1 unknown subcommand, 2 precondition or domain
 error (including bad flag values), 3 non-convergence.
 
-A --config FILE of key=value lines supplies defaults for any long flag
-of the chosen subcommand; explicit flags win.  Relative --out paths are
-resolved against $OSCHET_OUT_DIR when that variable is set.  Output is
-deterministic: the same invocation writes identical bytes.
+A config file of key=value lines, named by --config FILE or
+--config=FILE (or an abbreviation such as --conf), supplies values for
+the long flags of the chosen subcommand.  A key is a whole flag name
+other than config, with '_' read as '-' (max_iters sets --max-iters);
+each line is read as --key=value by the same parser as the command
+line, and explicit flags win.  Relative --out paths are resolved against
+$OSCHET_OUT_DIR when that variable is set.  Output is deterministic:
+the same invocation writes identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -40,75 +38,56 @@ from .errors import (
     UnsupportedOperationError,
 )
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["run", "main"]
 
-USAGE = """\
-usage: oschet SUBCOMMAND [options]
+# Finds the config file exactly as a subcommand's parser reads --config.
+_CONFIG = argparse.ArgumentParser(prog="oschet", add_help=False)
+_CONFIG.add_argument("--config")
 
-subcommands:
-  solve-heteroclinic   minimize a windowed discrete connection (JSON report)
-  shoot                shooting method for the lattice connection (JSON report)
-  solve-dirichlet      explicit nonlocal Dirichlet solution (CSV or JSON)
-  converge-study       error table against the classical profile (JSON)
-  bounds               explicit energy upper bounds (JSON)
-  validate-potential   double-well hypothesis checks (JSON)
-
-run 'oschet SUBCOMMAND --help' for the options of one subcommand.
-"""
+# Subcommand name -> (description, output format, long options, handler).
+_COMMANDS = {}
 
 
-@dataclass
-class RunConfig:
-    """One parsed invocation: subcommand, its options, and the output sink."""
+def _command(name: str, description: str, output: str, *options):
+    """Register a handler with the (flag, add_argument keywords) of its options."""
 
-    subcommand: str
-    options: argparse.Namespace
-    out: Optional[Path] = None
+    def register(handler):
+        _COMMANDS[name] = (description, output, options, handler)
+        return handler
 
-
-def _parse(p: argparse.ArgumentParser, cmd: str, argv: list) -> RunConfig:
-    """Apply --config defaults, parse flags, and resolve the output sink."""
-    _apply_config(p, argv)
-    args = p.parse_args(argv)
-    return RunConfig(subcommand=cmd, options=args, out=_resolve_out(args.out))
+    return register
 
 
-def _make_potential(name: str) -> potential.DoubleWell:
-    if name == "quartic":
-        return potential.quartic()
-    if name == "pendulum":
-        return potential.pendulum()
-    raise PreconditionError(f"unknown potential {name!r}; choose quartic or pendulum")
+_POTENTIAL = ("--potential", dict(default="quartic", choices=potential.BUILTINS))
+
+# --symmetry of solve-heteroclinic -> the solver's name, looked up when called
+_SOLVERS = dict(none="solve_discrete_dirichlet", node="solve_symmetric_node",
+                bond="solve_symmetric_bond")
 
 
-def _resolve_out(out: str) -> Optional[Path]:
-    if out == "-":
-        return None
-    path = Path(out)
-    env_dir = os.environ.get("OSCHET_OUT_DIR")
-    if env_dir and not path.is_absolute():
-        path = Path(env_dir) / path
-    return path
+@functools.cache
+def _parser(cmd: str) -> argparse.ArgumentParser:
+    description, _, options, _ = _COMMANDS[cmd]
+    p = argparse.ArgumentParser(prog=f"oschet {cmd}", description=description)
+    p.add_argument("--config", help="key=value defaults file")
+    p.add_argument("--out", default="-", help="output path, '-' for stdout")
+    for flag, kwargs in options:
+        p.add_argument(flag, **kwargs)
+    return p
 
 
-def _emit(text: str, out: Optional[Path]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
-
-
-def _json_line(obj) -> str:
-    return json.dumps(obj) + "\n"
-
-
-def _load_config(path: str) -> dict:
-    cfg = {}
+def _config_tokens(cmd: str, argv: list) -> list:
+    """The --key=value tokens of the config file that argv names, in file order."""
+    path = _CONFIG.parse_known_args(argv)[0].config
+    if path is None:
+        return []
+    # whole flag names only: an abbreviation could name --config or --help
+    known = {"--out", *(flag for flag, _ in _COMMANDS[cmd][2])}
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise PreconditionError(f"cannot read config file {path}: {exc}") from exc
+    tokens = []
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -116,42 +95,36 @@ def _load_config(path: str) -> dict:
         if "=" not in line:
             raise PreconditionError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        cfg[key.strip()] = value.strip()
-    return cfg
+        flag = "--" + key.strip().replace("_", "-")
+        if flag not in known:
+            raise PreconditionError(f"config key {key.strip()!r} is not an option here")
+        tokens.append(f"{flag}={value.strip()}")
+    return tokens
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list) -> None:
-    if "--config" not in argv:
+def _emit(text: str, out: str) -> None:
+    """Write text to stdout for '-', else to the file out under $OSCHET_OUT_DIR."""
+    if out == "-":
+        sys.stdout.write(text)
         return
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise PreconditionError("--config needs a file path")
-    cfg = _load_config(argv[i + 1])
-    actions = {a.dest: a for a in parser._actions}
-    for key, raw in cfg.items():
-        dest = key.replace("-", "_")
-        action = actions.get(dest)
-        if action is None or dest in ("help", "config"):
-            raise PreconditionError(f"config key {key!r} is not an option here")
-        try:
-            value = action.type(raw) if action.type else raw
-        except (TypeError, ValueError) as exc:
-            raise PreconditionError(f"config key {key!r}: bad value {raw!r}") from exc
-        if action.choices and value not in action.choices:
-            raise PreconditionError(
-                f"config key {key!r}: {value!r} not in {sorted(action.choices)}"
-            )
-        parser.set_defaults(**{dest: value})
-        # A required option satisfied by the config no longer has to
-        # appear on the command line (flags still override the default).
-        action.required = False
+    path = Path(os.environ.get("OSCHET_OUT_DIR", ""), out)  # an absolute out ignores the directory
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
 
 
-def _parser(cmd: str, description: str) -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog=f"oschet {cmd}", description=description)
-    p.add_argument("--config", type=str, default=None, help="key=value defaults file")
-    p.add_argument("--out", type=str, default="-", help="output path, '-' for stdout")
-    return p
+def _json_line(obj) -> str:
+    return json.dumps(obj) + "\n"
+
+
+def _float_list(text: str) -> list:
+    try:
+        return [float(c) for c in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad float list {text!r}") from None
+
+
+def _constant(c: float):
+    return lambda x: c + 0.0 * np.asarray(x, dtype=float)
 
 
 def _profile_report(K: int, r: float, kind: str, prof, value, res, converged) -> dict:
@@ -161,193 +134,152 @@ def _profile_report(K: int, r: float, kind: str, prof, value, res, converged) ->
         "potential": kind,
         "value": float(value),
         "el_residual": float(res),
-        "values": [float(v) for v in prof.values],
+        "values": prof.values.tolist(),
         "symmetry": prof.symmetry,
         "converged": bool(converged),
     }
 
 
-def _cmd_solve_heteroclinic(argv: list) -> int:
-    p = _parser("solve-heteroclinic", "minimize a windowed discrete connection")
-    p.add_argument("--K", type=int, required=True, help="number of free plateaus")
-    p.add_argument("--r", type=float, required=True, help="interaction range")
-    p.add_argument("--potential", type=str, default="quartic", choices=["quartic", "pendulum"])
-    p.add_argument(
-        "--symmetry",
-        type=str,
-        default="none",
-        choices=["none", "node", "bond"],
-        help="none: pinned ends; node/bond: odd symmetric problems",
-    )
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iters", type=int, default=100_000)
-    p.add_argument("--multistart", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    cfg = _parse(p, "solve-heteroclinic", argv)
-    args = cfg.options
-    W = _make_potential(args.potential)
+@_command(
+    "solve-heteroclinic", "minimize a windowed discrete connection", "JSON report",
+    ("--K", dict(type=int, required=True, help="number of free plateaus")),
+    ("--r", dict(type=float, required=True, help="interaction range")),
+    _POTENTIAL,
+    ("--symmetry", dict(default="none", choices=_SOLVERS,
+                        help="none: pinned ends; node/bond: odd symmetric problems")),
+    ("--tol", dict(type=float, default=1e-10)),
+    ("--max-iters", dict(type=int, default=100_000)),
+    ("--multistart", dict(type=int, default=8)),
+    ("--seed", dict(type=int, default=0)),
+)
+def _cmd_solve_heteroclinic(args) -> tuple:
+    W = getattr(potential, args.potential)()
     opts = heteroclinic.SolverOptions(
         tol=args.tol, max_iters=args.max_iters, multistart=args.multistart, seed=args.seed
     )
-    solver = {
-        "none": heteroclinic.solve_discrete_dirichlet,
-        "node": heteroclinic.solve_symmetric_node,
-        "bond": heteroclinic.solve_symmetric_bond,
-    }[args.symmetry]
-    report = solver(args.K, args.r, W, opts)
-    obj = _profile_report(
-        args.K, args.r, args.potential, report.minimizer,
-        report.value, report.el_residual, report.converged,
-    )
-    _emit(_json_line(obj), cfg.out)
-    return 0 if report.converged else 3
+    report = getattr(heteroclinic, _SOLVERS[args.symmetry])(args.K, args.r, W, opts)
+    obj = _profile_report(args.K, args.r, args.potential, report.minimizer,
+                          report.value, report.el_residual, report.converged)
+    return _json_line(obj), 0 if report.converged else 3
 
 
-def _cmd_shoot(argv: list) -> int:
-    p = _parser("shoot", "shooting method for the lattice connection")
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--potential", type=str, default="quartic", choices=["quartic", "pendulum"])
-    p.add_argument("--symmetry", type=str, default="node", choices=["node", "bond"])
-    p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--horizon", type=int, default=1000)
-    cfg = _parse(p, "shoot", argv)
-    args = cfg.options
-    W = _make_potential(args.potential)
+@_command(
+    "shoot", "shooting method for the lattice connection", "JSON report",
+    ("--r", dict(type=float, required=True)),
+    _POTENTIAL,
+    ("--symmetry", dict(default="node", choices=["node", "bond"])),
+    ("--tol", dict(type=float, default=1e-7)),
+    ("--horizon", dict(type=int, default=1000)),
+)
+def _cmd_shoot(args) -> tuple:
+    W = getattr(potential, args.potential)()
     prof = heteroclinic.shoot_heteroclinic(
         args.r, W, symmetry=args.symmetry + "_odd", tol=args.tol, horizon=args.horizon
     )
     value = heteroclinic.discrete_energy(prof, W, prof.n_min - 1, prof.n_max)
     res = heteroclinic.el_residual(prof, W)
     obj = _profile_report(prof.n_max, args.r, args.potential, prof, value, res, True)
-    _emit(_json_line(obj), cfg.out)
-    return 0
+    return _json_line(obj), 0
 
 
-def _cmd_solve_dirichlet(argv: list) -> int:
-    p = _parser("solve-dirichlet", "explicit nonlocal Dirichlet solution")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--h", type=float, required=True, help="sample step")
-    p.add_argument("--alpha-const", type=float, default=0.0, help="left collar value")
-    p.add_argument("--beta-const", type=float, default=1.0, help="right collar value")
-    p.add_argument("--f-const", type=float, default=0.0, help="constant source")
-    p.add_argument(
-        "--f-poly",
-        type=str,
-        default=None,
-        help="comma separated c0,c1,... for f(x) = c0 + c1 x + ...; overrides --f-const",
-    )
-    p.add_argument("--format", type=str, default="csv", choices=["csv", "json"])
-    cfg = _parse(p, "solve-dirichlet", argv)
-    args = cfg.options
+@_command(
+    "solve-dirichlet", "explicit nonlocal Dirichlet solution", "CSV or JSON",
+    ("--a", dict(type=float, required=True)),
+    ("--b", dict(type=float, required=True)),
+    ("--r", dict(type=float, required=True)),
+    ("--h", dict(type=float, required=True, help="sample step")),
+    ("--alpha-const", dict(type=float, default=0.0, help="left collar value")),
+    ("--beta-const", dict(type=float, default=1.0, help="right collar value")),
+    ("--f-const", dict(type=float, default=0.0, help="constant source")),
+    ("--f-poly", dict(type=_float_list, help="comma separated c0,c1,... for "
+                      "f(x) = c0 + c1 x + ...; overrides --f-const")),
+    ("--format", dict(default="csv", choices=["csv", "json"])),
+)
+def _cmd_solve_dirichlet(args) -> tuple:
     if args.f_poly is not None:
-        try:
-            coeffs = [float(c) for c in args.f_poly.split(",")]
-        except ValueError as exc:
-            raise PreconditionError(f"--f-poly: bad coefficient list {args.f_poly!r}") from exc
-        f = lambda x: np.polynomial.polynomial.polyval(x, coeffs)
+        f = lambda x: np.polynomial.polynomial.polyval(x, args.f_poly)
     else:
-        fc = args.f_const
-        f = lambda x: fc + 0.0 * np.asarray(x, dtype=float)
-    ac, bc = args.alpha_const, args.beta_const
+        f = _constant(args.f_const)
     problem = dirichlet.DrProblem(
         a=args.a, b=args.b, r=args.r,
-        alpha=lambda x: ac + 0.0 * np.asarray(x, dtype=float),
-        beta=lambda x: bc + 0.0 * np.asarray(x, dtype=float),
-        f=f,
+        alpha=_constant(args.alpha_const), beta=_constant(args.beta_const), f=f,
     )
     sol = dirichlet.solve_dr_on_grid(problem, args.h)
-    out = cfg.out
+    jumps = [float(j) for j in sol.jump_points]
     if args.format == "json":
-        xs = sol.samples.xs()
         obj = {
             "a": args.a,
             "b": args.b,
             "r": args.r,
             "h": args.h,
-            "x": [float(x) for x in xs],
-            "value": [float(v) for v in sol.samples.values],
-            "jumps": [float(j) for j in sol.jump_points],
+            "x": sol.samples.xs().tolist(),
+            "value": sol.samples.values.tolist(),
+            "jumps": jumps,
         }
-        _emit(_json_line(obj), out)
-    else:
-        buf = io.StringIO()
-        sol.samples.to_csv(buf)
-        _emit(buf.getvalue(), out)
-        if out is not None:
-            sys.stdout.write(_json_line([float(j) for j in sol.jump_points]))
-    return 0
+        return _json_line(obj), 0
+    buf = io.StringIO()
+    sol.samples.to_csv(buf)
+    if args.out != "-":
+        # the samples go to the file first; run then prints the jump list to stdout
+        _emit(buf.getvalue(), args.out)
+        args.out = "-"
+        return _json_line(jumps), 0
+    return buf.getvalue(), 0
 
 
-def _cmd_converge_study(argv: list) -> int:
-    p = _parser("converge-study", "error table against the classical profile")
-    p.add_argument("--r-list", type=str, required=True, help="comma separated, decreasing")
-    p.add_argument("--potential", type=str, default="quartic", choices=["quartic", "pendulum"])
-    p.add_argument("--horizon", type=int, default=2000)
-    cfg = _parse(p, "converge-study", argv)
-    args = cfg.options
-    try:
-        rs = [float(r) for r in args.r_list.split(",")]
-    except ValueError as exc:
-        raise PreconditionError(f"--r-list: bad float list {args.r_list!r}") from exc
-    W = _make_potential(args.potential)
-    table = asymptotics.convergence_study(W, rs, horizon=args.horizon)
+@_command(
+    "converge-study", "error table against the classical profile", "JSON",
+    ("--r-list", dict(type=_float_list, required=True, help="comma separated, decreasing")),
+    _POTENTIAL,
+    ("--horizon", dict(type=int, default=2000)),
+)
+def _cmd_converge_study(args) -> tuple:
+    W = getattr(potential, args.potential)()
+    table = asymptotics.convergence_study(W, args.r_list, horizon=args.horizon)
     obj = {
         "potential": args.potential,
-        "rows": [
-            {"r": row.r, "err": row.err, "err_aligned": row.err_aligned, "energy": row.energy}
-            for row in table.rows
-        ],
+        "rows": [dataclasses.asdict(row) for row in table.rows],
     }
-    _emit(_json_line(obj), cfg.out)
-    return 0
+    return _json_line(obj), 0
 
 
-def _cmd_bounds(argv: list) -> int:
-    p = _parser("bounds", "explicit energy upper bounds")
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--potential", type=str, default="quartic", choices=["quartic", "pendulum"])
-    cfg = _parse(p, "bounds", argv)
-    args = cfg.options
-    W = _make_potential(args.potential)
+@_command(
+    "bounds", "explicit energy upper bounds", "JSON",
+    ("--r", dict(type=float, required=True)),
+    _POTENTIAL,
+)
+def _cmd_bounds(args) -> tuple:
+    W = getattr(potential, args.potential)()
     rep = heteroclinic.energy_upper_bounds(args.r, W)
     obj = {
         "four_over_r": rep.four_over_r,
         "four_plus_cw": rep.four_plus_cw,
         "ramp": rep.ramp,
     }
-    _emit(_json_line(obj), cfg.out)
-    return 0
+    return _json_line(obj), 0
 
 
-def _cmd_validate_potential(argv: list) -> int:
-    p = _parser("validate-potential", "double-well hypothesis checks")
-    p.add_argument("--potential", type=str, default="quartic", choices=["quartic", "pendulum"])
-    p.add_argument("--grid-step", type=float, default=1e-3)
-    cfg = _parse(p, "validate-potential", argv)
-    args = cfg.options
-    W = _make_potential(args.potential)
+@_command(
+    "validate-potential", "double-well hypothesis checks", "JSON",
+    _POTENTIAL,
+    ("--grid-step", dict(type=float, default=1e-3)),
+)
+def _cmd_validate_potential(args) -> tuple:
+    W = getattr(potential, args.potential)()
     report = potential.validate_double_well(W, grid_step=args.grid_step)
     obj = {
         "potential": args.potential,
         "all_passed": report.all_passed,
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail} for c in report.checks
-        ],
+        "checks": [dataclasses.asdict(c) for c in report.checks],
     }
-    _emit(_json_line(obj), cfg.out)
-    return 0
+    return _json_line(obj), 0
 
 
-_COMMANDS = {
-    "solve-heteroclinic": _cmd_solve_heteroclinic,
-    "shoot": _cmd_shoot,
-    "solve-dirichlet": _cmd_solve_dirichlet,
-    "converge-study": _cmd_converge_study,
-    "bounds": _cmd_bounds,
-    "validate-potential": _cmd_validate_potential,
-}
+USAGE = (
+    "usage: oschet SUBCOMMAND [options]\n\nsubcommands:\n"
+    + "".join(f"  {name:<21}{desc} ({out})\n" for name, (desc, out, _, _) in _COMMANDS.items())
+    + "\nrun 'oschet SUBCOMMAND --help' for the options of one subcommand.\n"
+)
 
 
 def run(argv) -> int:
@@ -356,14 +288,17 @@ def run(argv) -> int:
     if not argv or argv[0] in ("-h", "--help"):
         sys.stdout.write(USAGE)
         return 0 if argv else 1
-    cmd = argv[0]
-    handler = _COMMANDS.get(cmd)
-    if handler is None:
+    cmd, argv = argv[0], argv[1:]
+    if cmd not in _COMMANDS:
         sys.stderr.write(f"error: unknown subcommand {cmd!r}\n")
         sys.stderr.write(USAGE)
         return 1
     try:
-        return handler(argv[1:])
+        # config tokens go first, so that explicit flags win
+        args = _parser(cmd).parse_args(_config_tokens(cmd, argv) + argv)
+        text, code = _COMMANDS[cmd][3](args)
+        _emit(text, args.out)
+        return code
     except SystemExit as exc:
         # argparse already printed its message; --help exits with 0
         return 0 if exc.code in (0, None) else 2

@@ -163,11 +163,11 @@ def _interior_values(p: DrProblem, xs: np.ndarray) -> np.ndarray:
 
     Row i of a (points x q) array holds the chain of xs[i]: the source
     term q = 1..N-1 sits at xs[i] + (q - kunder)*r, and the sum runs
-    along q.  Rows are taken in blocks of about max(xs.size, N) entries,
-    so memory stays linear in the number of points plus the chain length,
-    and f is called once per block.  N takes at most two neighbouring
-    values over (a, b); entries past a row's own N - 1 get weight 0 and
-    evaluate f at x itself, so f only ever sees points of the chains.
+    along q.  Rows come in at most N - 1 blocks of under xs.size + N
+    entries, so memory stays linear in the number of points plus the
+    chain length, and f is called once per block.  N takes at most two
+    neighbouring values over (a, b); entries past a row's own N - 1 get
+    weight 0 and evaluate f at x itself, so f only sees chain points.
     """
     r = p.r
     ku = _steps((xs - p.a) / r)
@@ -175,7 +175,7 @@ def _interior_values(p: DrProblem, xs: np.ndarray) -> np.ndarray:
     n = ku + kb
     total = kb * _values(p.alpha, xs - ku * r) + ku * _values(p.beta, xs + kb * r)
     width = int(n.max()) - 1
-    rows = max(1, xs.size // width)
+    rows = -(-xs.size // width)
     q = np.arange(1, width + 1)
     for s in range(0, xs.size, rows):
         x, m, k, tot = (v[s : s + rows, None] for v in (xs, ku, kb, n))

@@ -247,8 +247,8 @@ def el_residual(p: LatticeProfile, W: DoubleWell) -> float:
 
 def recurrence_step(u_n: float, u_np1: float, r: float, W: DoubleWell) -> float:
     """Next plateau value from the stationarity recurrence."""
-    if not (r > 0.0):
-        raise DomainError(f"range r must be positive, got {r}")
+    if not (r > 0.0 and math.isfinite(r)):
+        raise DomainError(f"range r must be positive and finite, got {r}")
     return 2.0 * float(u_np1) - float(u_n) + r * r * eval_dw(W, float(u_np1))
 
 

@@ -36,6 +36,7 @@ from .errors import DomainError, UnsupportedOperationError
 from .quadrature import adaptive_simpson
 
 __all__ = [
+    "BUILTINS",
     "DoubleWell",
     "ValidationCheck",
     "ValidationReport",
@@ -49,6 +50,10 @@ __all__ = [
     "validate_double_well",
     "compute_cw",
 ]
+
+
+# The built-in wells: each name is also the kind and the constructor of one.
+BUILTINS = ("quartic", "pendulum")
 
 
 @dataclass(frozen=True, eq=False)

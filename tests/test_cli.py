@@ -1,5 +1,6 @@
 """Command line interface: JSON reports, exit codes, config files."""
 
+import argparse
 import json
 
 import numpy as np
@@ -249,3 +250,76 @@ def test_out_dir_environment_ignores_absolute_paths(tmp_path, monkeypatch, capsy
     assert code == 0
     assert target.exists()
     assert not (tmp_path / "ignored").exists()
+
+
+@pytest.mark.parametrize("form", [["--config={}"], ["--conf", "{}"], ["--config", "{}"]])
+def test_config_is_read_in_every_argparse_spelling(tmp_path, capsys, form):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("r = 0.5\nK = 3\npotential = pendulum\n")
+    argv = ["solve-heteroclinic"] + [a.format(cfg) for a in form]
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    assert (doc["K"], doc["r"], doc["potential"]) == (3, 0.5, "pendulum")
+
+
+def test_config_key_underscores_read_as_dashes(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max_iters = 1\nmultistart = 1\n")
+    code, doc = run_json(capsys, ["solve-heteroclinic", "--config", str(cfg), "--K", "8", "--r", "0.5"])
+    assert code == 3
+    assert doc["converged"] is False
+
+
+def test_config_value_starting_with_a_dash_is_a_value(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("a = 0\nb = 1\nr = 0.25\nh = 0.01\nformat = json\nf-poly = -1,0.5\n")
+    code, from_config = run_json(capsys, ["solve-dirichlet", "--config", str(cfg)])
+    assert code == 0
+    argv = ["solve-dirichlet", "--a", "0", "--b", "1", "--r", "0.25", "--h", "0.01"]
+    code, from_flags = run_json(capsys, argv + ["--format", "json", "--f-poly=-1,0.5"])
+    assert code == 0
+    assert from_config == from_flags
+
+
+@pytest.mark.parametrize("key", ["config", "help", "conf", "max"])
+def test_config_keys_are_whole_flag_names_but_not_config_or_help(tmp_path, capsys, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = x\n")
+    assert run(["solve-heteroclinic", "--config", str(cfg), "--K", "2", "--r", "1"]) == 2
+    assert "not an option" in capsys.readouterr().err
+
+
+def test_config_values_do_not_leak_into_the_next_call(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("r = 0.5\nK = 3\npotential = pendulum\n")
+    code, doc = run_json(capsys, ["solve-heteroclinic", "--config", str(cfg)])
+    assert code == 0 and doc["potential"] == "pendulum"
+    code, doc = run_json(capsys, ["solve-heteroclinic", "--K", "3", "--r", "0.5"])
+    assert code == 0 and doc["potential"] == "quartic"
+    # the config's K and r no longer satisfy the required flags
+    assert run(["solve-heteroclinic"]) == 2
+
+
+@pytest.mark.parametrize(
+    "cmd",
+    ["solve-heteroclinic", "shoot", "solve-dirichlet", "converge-study", "bounds", "validate-potential"],
+)
+def test_every_subcommand_help_exits_zero(capsys, cmd):
+    assert run([cmd, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: oschet {cmd}")
+
+
+def test_a_repeated_call_builds_no_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    argv = ["bounds", "--r", "0.5", "--potential", "pendulum"]
+    assert run(argv) == 0
+    built.clear()
+    assert run(argv) == 0
+    assert built == []

@@ -341,10 +341,10 @@ def test_residual_check_evaluates_the_source_once_per_row_block():
     p = DrProblem(a=0.0, b=1.0, r=1.0 / links, alpha=zero, beta=zero, f=f)
     report = residual_check(p, n_samples=1000)
     assert report.passed, report.detail
-    # one stacked solve of x + r, x - r and x takes at most links + 1 row
-    # blocks (the last one a remainder), then f runs once at the checked points
+    # one stacked solve of x + r, x - r and x takes at most links row
+    # blocks, then f runs once at the checked points
     stacked = len(calls)
-    assert stacked <= links + 2, calls
+    assert stacked <= links + 1, calls
     calls.clear()
     residual_check_sweep(p, 1000)
     # three separate solves take at least links blocks each

@@ -321,6 +321,12 @@ def test_recurrence_step_reproduces_stationarity():
         assert abs(nxt - v[j + 1]) <= report.el_residual + 1e-15
 
 
+@pytest.mark.parametrize("r", [0.0, -0.5, math.inf, math.nan])
+def test_recurrence_step_rejects_a_bad_range(r):
+    with pytest.raises(DomainError):
+        recurrence_step(0.1, 0.2, r, quartic())
+
+
 # ---------------------------------------------------------------------------
 # shooting
 # ---------------------------------------------------------------------------
