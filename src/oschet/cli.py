@@ -192,7 +192,8 @@ def _cmd_shoot(args) -> tuple:
     ("--beta-const", dict(type=float, default=1.0, help="right collar value")),
     ("--f-const", dict(type=float, default=0.0, help="constant source")),
     ("--f-poly", dict(type=_float_list, help="comma separated c0,c1,... for "
-                      "f(x) = c0 + c1 x + ...; overrides --f-const")),
+                      "f(x) = c0 + c1 x + ...; overrides --f-const; write "
+                      "--f-poly=-1,0.5 when c0 is negative")),
     ("--format", dict(default="csv", choices=["csv", "json"])),
 )
 def _cmd_solve_dirichlet(args) -> tuple:

@@ -35,7 +35,7 @@ MAX_GRID_SAMPLES samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Union
 
 import numpy as np
@@ -223,8 +223,8 @@ class DrSolution:
     """A solved Dirichlet problem: pointwise evaluator plus grid artifacts."""
 
     problem: DrProblem
-    samples: Optional[SampledFunction] = None
-    jump_points: List[float] = field(default_factory=list)
+    samples: SampledFunction
+    jump_points: List[float]
 
     def eval(self, x: float) -> float:
         return solve_dr_explicit(self.problem, x)

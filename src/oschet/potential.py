@@ -14,13 +14,14 @@ Built-in potentials:
     replaced by the quadratic (pi/2)(|q| - 1)^2, which matches value,
     slope, and curvature at the wells and keeps the tails monotone.
 
-Both built-ins accept scalars or numpy arrays.  A float (numpy float64
-included) takes a `math` branch that matches the numpy branch on arrays
-bit for bit: the same formulas in the same order, with the square written
-as d * d because numpy computes an array's `** 2` as a multiply.  The
-shooting loop calls W' on a float once per plateau, and there the numpy
-branch costs about 7.5 us a call against 0.26 us for the math branch
-(pendulum W', Python 3.11, numpy 2.4, one core of a 2-CPU VM).
+Both built-ins accept scalars or numpy arrays and give the same bits for
+a point either way.  Squares are written d * d: numpy computes `** 2` on
+an array as a multiply but on a 0-d array as libm's pow, and the two can
+round apart.  Only the pendulum's W' has a `math` branch for a float
+(numpy float64 included), with the numpy branch's formulas in the same
+order, because the shooting loop calls it once per plateau: there the
+numpy branch costs about 7.5 us a call against 0.26 us (Python 3.11,
+numpy 2.4, one core of a 2-CPU VM).
 """
 
 from __future__ import annotations
@@ -101,13 +102,6 @@ def _quartic_dw(t):
 
 
 def _pendulum_w(q):
-    if isinstance(q, float):  # scalar fast path, bit-identical to the numpy branch
-        q = float(q)  # a numpy float64 returns a Python float too
-        if abs(q) <= 1.0:
-            h = math.cos(0.5 * math.pi * q)
-            return (2.0 / math.pi) * h * h
-        d = abs(q) - 1.0
-        return 0.5 * math.pi * (d * d)
     q = np.asarray(q, dtype=float)
     aq = np.abs(q)
     # Half-angle form of (1 + cos(pi q)) / pi: near q = +-1 the direct
@@ -136,9 +130,9 @@ def _pendulum_dw(q):
     return out if out.ndim else float(out)
 
 
-def _integral_w(w: Callable, tol: float = 1e-10) -> float:
-    """Integral of w over [-1, 1] by adaptive Simpson quadrature."""
-    return adaptive_simpson(lambda t: float(w(t)), -1.0, 1.0, tol=tol)
+def _integral_w(w: Callable) -> float:
+    """Integral of w over [-1, 1] by adaptive Simpson quadrature to 1e-10."""
+    return adaptive_simpson(lambda t: float(w(t)), -1.0, 1.0, tol=1e-10)
 
 
 @functools.cache
@@ -302,8 +296,6 @@ def validate_double_well(W: DoubleWell, grid_step: float = 1e-3) -> ValidationRe
     return ValidationReport(W.kind, grid_step, tuple(checks))
 
 
-def compute_cw(W: DoubleWell, tol: float = 1e-10) -> float:
-    """Integrate W over [-1, 1] by adaptive Simpson quadrature."""
-    if not (tol > 0.0):
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    return _integral_w(W.w, tol)
+def compute_cw(W: DoubleWell) -> float:
+    """Integrate W over [-1, 1] by adaptive Simpson quadrature to 1e-10."""
+    return _integral_w(W.w)

@@ -86,6 +86,10 @@ def test_x_at_inverts_the_profile():
     prof = ClassicalHeteroclinic(pendulum())
     for u in (0.05, 0.3, 0.77, 0.995):
         assert abs(prof.quadrature_eval(prof.x_at(u)) - u) < 1e-12
+    # every tabulated value, read through the array path, inverts x_at to 1e-12
+    us = np.linspace(0.0, 0.999, 200)
+    xs = np.array([prof.x_at(u) for u in us])
+    assert np.max(np.abs(prof.eval_array(xs) - us)) <= 1e-12
     with pytest.raises(DomainError):
         prof.x_at(1.5)
 
@@ -106,9 +110,9 @@ def test_point_evaluator_shares_tables_between_equal_wells(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(asymptotics, "ClassicalHeteroclinic", Counted)
-    # a tol no other test uses, so no table for it is cached yet
+    monkeypatch.setattr(asymptotics, "_PROFILE_CACHE", {})  # no table cached yet
     for x in (0.5, 1.0, 1.5, 2.0, 2.5):
-        classical_heteroclinic(quartic(), x, tol=2.5e-9)
+        classical_heteroclinic(quartic(), x)
     assert len(built) == 1
 
 
@@ -121,8 +125,6 @@ def test_profile_cache_is_bounded():
 
 
 def test_profile_rejects_bad_arguments():
-    with pytest.raises(DomainError):
-        ClassicalHeteroclinic(quartic(), tol=0.5)
     with pytest.raises(PreconditionError):
         # W(0) = 0 is a degenerate middle: no crossing profile
         ClassicalHeteroclinic(custom(lambda t: t * t * (1 - t * t) ** 2))

@@ -140,8 +140,8 @@ BRANCH_EDGES = [
 @example(ts=BRANCH_EDGES)
 def test_array_evaluation_matches_scalar(factory, ts):
     # exact equality on purpose: a float takes the math branch of the
-    # built-ins and an array the numpy branch, and the two must agree bit
-    # for bit on this platform's libm
+    # pendulum's W' and an array the numpy branch, and the two must agree
+    # bit for bit on this platform's libm
     W = factory()
     arr = eval_w_array(W, np.array(ts))
     darr = eval_dw_array(W, np.array(ts))
