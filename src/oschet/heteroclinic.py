@@ -179,7 +179,8 @@ class SolverOptions:
     random profiles, then extra_starts, each rearranged into the monotone
     cone, duplicates dropped.  The starts descend in lockstep, one iteration
     each per round; when less budget is left than there are live starts, the
-    earlier ones take it.
+    earlier ones take it.  A tol that is not positive and finite or a seed
+    that is not a nonnegative integer raises PreconditionError.
     """
 
     tol: float = 1e-10
@@ -513,9 +514,14 @@ def _solve(K: int, r: float, W: DoubleWell, opts: Optional[SolverOptions], symme
         raise PreconditionError(f"K must be an integer in [{k_min}, {MAX_K}], got {K}")
     if not (r > 0.0 and math.isfinite(r)):
         raise PreconditionError(f"range r must be positive and finite, got {r}")
+    opts = opts or SolverOptions()
+    if not (opts.tol > 0.0 and math.isfinite(opts.tol)):
+        raise PreconditionError(f"tol must be positive and finite, got {opts.tol}")
+    if not (isinstance(opts.seed, (int, np.integer)) and opts.seed >= 0):
+        raise PreconditionError(f"seed must be a nonnegative integer, got {opts.seed!r}")
     if W.dw is None:
         raise UnsupportedOperationError("solvers need a potential with a derivative")
-    return _minimize(_BoxProblem(int(K), float(r), W, symmetry), opts or SolverOptions())
+    return _minimize(_BoxProblem(int(K), float(r), W, symmetry), opts)
 
 
 def solve_discrete_dirichlet(

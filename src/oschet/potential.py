@@ -55,6 +55,9 @@ __all__ = [
 
 # The built-in wells: each name is also the kind and the constructor of one.
 BUILTINS = ("quartic", "pendulum")
+# validate_double_well holds a few float arrays of its grid over [-3, 3]:
+# 10^7 points (80 MB an array) is far above the 6001 of the default step.
+MAX_VALIDATION_POINTS = 10**7
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,70 +222,39 @@ def validate_double_well(W: DoubleWell, grid_step: float = 1e-3) -> ValidationRe
     """Check the double-well hypotheses on a uniform grid over [-3, 3].
 
     Failures are recorded as report entries, never raised; a check passing
-    here is sample-based evidence, not a proof.
+    here is sample-based evidence, not a proof.  grid_step runs from 1 (7
+    points) down to the step of MAX_VALIDATION_POINTS points; any other
+    value, NaN and inf included, raises DomainError before the grid is built.
     """
-    if not (grid_step > 0.0):
-        raise DomainError(f"grid_step must be positive, got {grid_step}")
+    least = 6.0 / (MAX_VALIDATION_POINTS - 1)
+    if not (least <= grid_step <= 1.0):
+        raise DomainError(f"grid_step must be in [{least}, 1], got {grid_step}")
     n = int(round(6.0 / grid_step)) + 1
     ts = np.linspace(-3.0, 3.0, n)
     ws = eval_w_array(W, ts)
-    checks = []
 
-    w_minus = eval_w(W, -1.0)
-    w_plus = eval_w(W, 1.0)
+    w_minus, w_plus = eval_w(W, -1.0), eval_w(W, 1.0)
     ok = abs(w_minus) <= 1e-12 and abs(w_plus) <= 1e-12
-    checks.append(
-        ValidationCheck(
-            "wells_at_unit_points",
-            ok,
-            f"W(-1)={w_minus:.3e}, W(1)={w_plus:.3e}",
-        )
-    )
+    checks = [ValidationCheck("wells_at_unit_points", ok, f"W(-1)={w_minus:.3e}, W(1)={w_plus:.3e}")]
 
+    # a step of at most 1 puts grid points away from the wells and in [0, 1]
     away = np.abs(np.abs(ts) - 1.0) > 0.5 * grid_step
-    if np.any(away):
-        mn = float(np.min(ws[away]))
-        arg = float(ts[away][int(np.argmin(ws[away]))])
-        ok = mn > 0.0
-        checks.append(
-            ValidationCheck(
-                "positive_away_from_wells", ok, f"min W(t)={mn:.3e} at t={arg:.4f}"
-            )
-        )
-    else:
-        checks.append(ValidationCheck("positive_away_from_wells", False, "empty grid"))
+    mn = float(np.min(ws[away]))
+    arg = float(ts[away][int(np.argmin(ws[away]))])
+    checks.append(ValidationCheck("positive_away_from_wells", mn > 0.0, f"min W(t)={mn:.3e} at t={arg:.4f}"))
 
-    left = ts <= -1.0
-    viol = _monotone_violation(ts[left], ws[left], -1.0)
-    checks.append(
-        ValidationCheck(
-            "decreasing_left_tail",
-            viol is None,
-            "strict on grid" if viol is None else f"fails between t={viol[0]:.4f} and t={viol[1]:.4f}",
-        )
-    )
-
-    right = ts >= 1.0
-    viol = _monotone_violation(ts[right], ws[right], 1.0)
-    checks.append(
-        ValidationCheck(
-            "increasing_right_tail",
-            viol is None,
-            "strict on grid" if viol is None else f"fails between t={viol[0]:.4f} and t={viol[1]:.4f}",
-        )
-    )
-
-    mid = (ts >= 0.0) & (ts <= 1.0)
-    tm = ts[mid]
-    gap = np.abs(eval_w_array(W, tm) - eval_w_array(W, -tm))
-    worst = float(np.max(gap)) if gap.size else 0.0
-    ok = worst <= 1e-12
-    checks.append(
-        ValidationCheck("even_between_wells", ok, f"max |W(t)-W(-t)| = {worst:.3e}")
-    )
+    tails = (("decreasing_left_tail", ts <= -1.0, -1.0), ("increasing_right_tail", ts >= 1.0, 1.0))
+    for name, tail, direction in tails:
+        viol = _monotone_violation(ts[tail], ws[tail], direction)
+        detail = "strict on grid" if viol is None else f"fails between t={viol[0]:.4f} and t={viol[1]:.4f}"
+        checks.append(ValidationCheck(name, viol is None, detail))
 
     rising = (ts >= -1.0) & (ts <= 0.0)
     falling = (ts >= 0.0) & (ts <= 1.0)
+    tm = ts[falling]
+    worst = float(np.max(np.abs(eval_w_array(W, tm) - eval_w_array(W, -tm))))
+    checks.append(ValidationCheck("even_between_wells", worst <= 1e-12, f"max |W(t)-W(-t)| = {worst:.3e}"))
+
     v1 = _monotone_violation(ts[rising], ws[rising], 1.0)
     v2 = _monotone_violation(ts[falling], ws[falling], -1.0)
     ok = v1 is None and v2 is None

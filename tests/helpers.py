@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from oschet.asymptotics import _cached_profile
 from oschet.dirichlet import (
     EXCLUSION_TOL,
     GOLDEN_FRAC,
@@ -15,6 +16,7 @@ from oschet.dirichlet import (
     kunder,
     solve_dr_explicit,
 )
+from oschet.heteroclinic import shoot_heteroclinic
 from oschet.sampled import SampledFunction
 
 
@@ -267,3 +269,17 @@ def detect_jumps_loop(samples: SampledFunction, a: float, b: float):
             sizes.append(float(abs(v[j + 1] - v[i])))
         i = j + 1
     return locations, sizes
+
+
+def aligned_error_sweep(W, r: float, horizon: int = 2000) -> float:
+    """Oracle for convergence_study's err_aligned: the sup error at the
+    plateau midpoints minimized over 65 sub-plateau shifts tau in [-r, r]."""
+    classical = _cached_profile(W)
+    prof = shoot_heteroclinic(r, W, symmetry="node_odd", tol=1e-7, horizon=horizon)
+    ns = np.arange(prof.n_min, prof.n_max + 1)
+    mids = (2.0 * ns + 1.0) * r
+    w = prof.values
+    taus = np.linspace(-r, r, 65)
+    probe = mids[None, :] - taus[:, None]
+    diffs = np.abs(w[None, :] - classical.eval_array(probe))
+    return float(np.min(np.max(diffs, axis=1)))

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
+from helpers import aligned_error_sweep
 from oschet import asymptotics
 from oschet.asymptotics import (
     ClassicalHeteroclinic,
@@ -147,6 +149,26 @@ def test_convergence_study_columns_shrink():
     assert np.all(aligned <= err)
     # plateau errors scale roughly linearly in r before alignment
     assert err[1] < 0.7 * err[0]
+
+
+@pytest.mark.parametrize("factory", [quartic, pendulum])
+def test_profile_is_exactly_odd_on_the_probe_points(factory):
+    # err_aligned's single row rests on u(-x) = -u(x) holding bit for bit
+    prof = asymptotics._cached_profile(factory())
+    for r in (0.5, 0.137, 0.01):
+        ns = np.arange(-int(16.0 / r), int(16.0 / r) + 1)
+        mids = (2.0 * ns + 1.0) * r
+        # the sweep's probes; its last row is the single row's mids - r
+        probes = (mids[None, :] - np.linspace(-r, r, 65)[:, None]).ravel()
+        assert np.array_equal(prof.eval_array(-probes), -prof.eval_array(probes))
+
+
+@given(kind=st.sampled_from(["quartic", "pendulum"]), r=st.floats(0.01, 0.5))
+@settings(max_examples=10, deadline=None)
+def test_single_row_alignment_equals_the_65_shift_sweep(kind, r):
+    W = quartic() if kind == "quartic" else pendulum()
+    (row,) = convergence_study(W, [r]).rows
+    assert row.err_aligned == aligned_error_sweep(W, r)
 
 
 def test_convergence_energy_approaches_the_line_integral():

@@ -92,6 +92,12 @@ def test_unconverged_solve_exits_three_but_reports(capsys):
     assert doc["converged"] is False
 
 
+@pytest.mark.parametrize("flags", [["--tol", "inf"], ["--tol", "nan"], ["--tol", "0"], ["--seed", "-1"]])
+def test_solve_rejects_bad_solver_options(capsys, flags):
+    assert run(["solve-heteroclinic", "--K", "4", "--r", "0.5"] + flags) == 2
+    assert "must be" in capsys.readouterr().err
+
+
 def test_shoot_report(capsys):
     code, doc = run_json(capsys, ["shoot", "--r", "0.5", "--symmetry", "node"])
     assert code == 0
@@ -196,6 +202,13 @@ def test_validate_potential_report(capsys):
     assert doc["all_passed"] is True
     assert len(doc["checks"]) == 6
     assert all(set(c) == {"name", "passed", "detail"} for c in doc["checks"])
+
+
+@pytest.mark.parametrize("step", ["1e-300", "5e-324", "inf", "nan"])
+def test_validate_potential_rejects_bad_grid_steps(capsys, monkeypatch, step):
+    forbid_large_arange(monkeypatch)
+    assert run(["validate-potential", "--grid-step", step]) == 2
+    assert "grid_step" in capsys.readouterr().err
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

@@ -25,6 +25,7 @@ from oschet.dirichlet import (
     MAX_CHAIN,
     DrProblem,
     _detect_jumps,
+    _null_set_distance,
     _residual_points,
     _solve_points,
     dr_apply,
@@ -410,6 +411,28 @@ def test_max_principle_rejects_wrong_sign_data():
     )
     with pytest.raises(PreconditionError):
         max_principle_check(p)
+
+
+def test_max_principle_checks_beta_on_the_right_collar():
+    # beta is only data on [b, b + r]; its sign inside (a, b) is irrelevant
+    outside = lambda x: 1.0 - np.asarray(x, dtype=float)  # <= 0 exactly on [1, inf)
+    p = DrProblem(a=0.0, b=1.0, r=0.25, alpha=zero, beta=outside, f=zero)
+    assert max_principle_check(p).passed
+    inside = lambda x: np.asarray(x, dtype=float) - 1.0  # > 0 exactly on (1, inf)
+    with pytest.raises(PreconditionError, match="beta"):
+        max_principle_check(DrProblem(a=0.0, b=1.0, r=0.25, alpha=zero, beta=inside, f=zero))
+
+
+@pytest.mark.parametrize("a, b, r", [(0.37, 1.91, 0.23), (-1.3, 0.4, 0.31), (2.05, 3.0, 0.17)])
+def test_null_set_distance_matches_brute_force(a, b, r):
+    # 2a/r is not an integer, so the lattices a + rZ and a - rZ differ
+    assert abs(2 * a / r - round(2 * a / r)) > 0.1
+    p = DrProblem(a=a, b=b, r=r, alpha=zero, beta=zero, f=zero)
+    xs = np.linspace(a - r, b + r, 1001)
+    ks = np.arange(-40, 41)
+    null_set = np.concatenate((a + ks * r, b - ks * r))
+    brute = np.min(np.abs(xs[:, None] - null_set[None, :]), axis=1)
+    assert np.max(np.abs(_null_set_distance(xs, p) - brute)) < 1e-12
 
 
 def test_comparison_with_ordered_data():

@@ -255,6 +255,15 @@ def test_solver_rejects_bad_arguments():
         solve_symmetric_bond(1, 0.5, W)
     with pytest.raises(UnsupportedOperationError):
         solve_discrete_dirichlet(4, 0.5, custom(lambda t: (1 - t * t) ** 2 / 4))
+    for solve in (solve_discrete_dirichlet, solve_symmetric_node, solve_symmetric_bond):
+        # an infinite tol would pass the untouched ramp start as converged
+        for tol in (math.inf, math.nan, 0.0, -1e-10):
+            with pytest.raises(PreconditionError, match="tol must be"):
+                solve(4, 0.5, W, SolverOptions(tol=tol))
+        for seed in (-1, 1.5, "0"):
+            with pytest.raises(PreconditionError, match="seed must be"):
+                solve(4, 0.5, W, SolverOptions(seed=seed))
+    assert solve_discrete_dirichlet(4, 0.5, W, SolverOptions(seed=np.int64(3))).converged
 
 
 def test_window_size_is_capped_before_allocating(monkeypatch):
@@ -429,6 +438,16 @@ def test_lifted_window_minimum_matches_comparison_energy():
     assert abs(f_val - 2 * r * report.value) < 1e-10
 
 
+def test_lift_places_plateau_n_on_its_cell():
+    p = LatticeProfile(0.25, -3, 2, np.array([-1.0, -0.6, -0.2, 0.1, 0.5, 1.0]))
+    x0 = 0.7
+    lifted = lift_profile(p, x0, 0.05)
+    assert lifted.x0 == pytest.approx(x0 + 2 * 0.25 * -3, abs=1e-15)
+    for n in range(-3, 3):
+        # the cell [x0 + 2nr, x0 + 2(n+1)r) has midpoint x0 + 2nr + r
+        assert lifted.eval(x0 + 2 * n * 0.25 + 0.25) == p.value(n)
+
+
 def test_lift_requires_commensurate_step():
     W = quartic()
     report = solve_discrete_dirichlet(2, 0.5, W)
@@ -448,6 +467,14 @@ def test_upper_bounds_at_half():
     assert abs(bounds.four_plus_cw - (4.0 + 4.0 / 15.0)) < 1e-12
     assert abs(bounds.ramp - 3.6) < 1e-12
     assert bounds.binding == "ramp"
+
+
+def test_witness_reports_the_exact_well_bound():
+    for W in WELLS.values():
+        for r in (0.2, 0.5, 1.0, 3.0):
+            report = step_is_not_minimal(r, W)
+            assert report.four_plus_cw == 4.0 + W.c_w == energy_upper_bounds(r, W).four_plus_cw
+            assert report.cw_bound_beats_step == (4.0 + W.c_w < 4.0 / r)
 
 
 def test_ramp_bound_disappears_for_large_r():

@@ -209,6 +209,24 @@ def test_validation_flags_asymmetric_potential():
     assert "even_between_wells" in names or "wells_at_unit_points" in names
 
 
+def test_validation_rejects_bad_grid_steps_before_building_the_grid(monkeypatch):
+    W = quartic()
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    least = 6.0 / (potential.MAX_VALIDATION_POINTS - 1)
+    for step in (1e-300, 5e-324, 0.5 * least, math.inf, math.nan, 0.0, -1e-3, 1.5):
+        with pytest.raises(DomainError, match="grid_step"):
+            validate_double_well(W, grid_step=step)
+
+
+def test_validation_accepts_the_coarsest_grid_step():
+    report = validate_double_well(quartic(), grid_step=1.0)
+    assert report.all_passed
+
+
 def test_double_well_usable_as_dict_key():
     W = quartic()
     cache = {W: 1}
