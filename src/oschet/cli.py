@@ -149,14 +149,10 @@ def _profile_report(K: int, r: float, kind: str, prof, value, res, converged) ->
                         help="none: pinned ends; node/bond: odd symmetric problems")),
     ("--tol", dict(type=float, default=1e-10)),
     ("--max-iters", dict(type=int, default=100_000)),
-    ("--multistart", dict(type=int, default=8)),
-    ("--seed", dict(type=int, default=0)),
 )
 def _cmd_solve_heteroclinic(args) -> tuple:
     W = getattr(potential, args.potential)()
-    opts = heteroclinic.SolverOptions(
-        tol=args.tol, max_iters=args.max_iters, multistart=args.multistart, seed=args.seed
-    )
+    opts = heteroclinic.SolverOptions(tol=args.tol, max_iters=args.max_iters)
     report = getattr(heteroclinic, _SOLVERS[args.symmetry])(args.K, args.r, W, opts)
     obj = _profile_report(args.K, args.r, args.potential, report.minimizer,
                           report.value, report.el_residual, report.converged)

@@ -31,12 +31,15 @@ profile.  All three are one box problem whose Hessian is tridiagonal,
 (s/r^2) tridiag(-1, 2, -1) + s diag(W''), and they share one projected
 Newton method (Bertsekas 1982): a Thomas solve on the free sites, a
 Levenberg shift where W'' < 0 makes that block indefinite, and an Armijo
-search along the projection arc.  It descends from several deterministic
-starts at once, one row of a (starts x sites) array each, so that one
-numpy call serves every live start.  The search stays in the monotone
-cone, where the minimizers lie: sorting the free values (for the odd
-symmetries, sorting their odd extension) never raises the energy, so each
-start, and each iterate that leaves the cone, is replaced by its
+search along the projection arc.  It descends from four deterministic
+starts at once, the ramp and the steps at a quarter, half and three
+quarters of the window, plus any extra_starts, one row of a
+(starts x sites) array each, so that one numpy call serves every live
+start.  A start stops when its EL residual reaches tol, when no step is
+acceptable, or when the iteration budget runs out.  The search stays in
+the monotone cone, where the minimizers lie: sorting the free values (for
+the odd symmetries, sorting their odd extension) never raises the energy,
+so each start, and each iterate that leaves the cone, is replaced by its
 rearrangement when that does not raise its objective.
 
 shoot_heteroclinic integrates the recurrence directly and bisects on the
@@ -83,7 +86,7 @@ __all__ = [
 ESCAPE_PAD = 1e-9  # orbit above 1 + pad has left the box for good
 TURNBACK_PAD = 1e-12  # decrease below this is a genuine turn, not roundoff
 
-# symmetry -> (free sites K - drop, objective scale s, left anchor a, anchor weight lam,
+# symmetry -> (free sites K - pinned, objective scale s, left anchor a, anchor weight lam,
 #              mirror n_min + n_max with w_{mirror - n} = -w_n, None when not odd)
 _FLAVORS = {
     "none": (0, 1.0, -1.0, 1.0, None),
@@ -175,18 +178,19 @@ class SolverOptions:
     """Knobs for the projected Newton minimizer.
 
     tol bounds the EL residual of a converged start and max_iters the Newton
-    iterations summed over all starts: multistart of ramp, steps and seeded
-    random profiles, then extra_starts, each rearranged into the monotone
-    cone, duplicates dropped.  The starts descend in lockstep, one iteration
-    each per round; when less budget is left than there are live starts, the
-    earlier ones take it.  A tol that is not positive and finite or a seed
-    that is not a nonnegative integer raises PreconditionError.
+    iterations summed over all starts.  The starts are the ramp, the steps
+    at a quarter, half and three quarters of the window, then extra_starts
+    (a user's own random starts go there), each rearranged into the monotone
+    cone, duplicates dropped.  They descend in lockstep, one iteration each
+    per round; when less budget is left than there are live starts, the
+    earlier ones take it.  A start stops at tol, when no step is acceptable,
+    or when the budget runs out.  A tol that is not positive and finite or a
+    max_iters that is not an integer raises PreconditionError; a max_iters
+    below 1 raises ConvergenceError.
     """
 
     tol: float = 1e-10
     max_iters: int = 100_000
-    multistart: int = 8
-    seed: int = 0
     extra_starts: Tuple = ()
 
 
@@ -260,12 +264,11 @@ def recurrence_step(u_n: float, u_np1: float, r: float, W: DoubleWell) -> float:
 
 ARMIJO_C = 1e-4  # sufficient-decrease fraction along the projection arc
 BACKTRACK = 0.5  # step shrink factor per failed Armijo trial
-MIN_STEP = 1e-12  # smallest arc step tried before a start counts as stalled
+MIN_STEP = 1e-12  # smallest arc step tried before a start stops
 ACTIVE_EPS = 1e-6  # cap on the Bertsekas epsilon band next to the bounds
 PIVOT_FLOOR = 1e-8  # Thomas pivots below this times s/r^2 call for a shift
 LEVENBERG_START = 1e-6  # first Levenberg shift, in units of s/r^2
 ROUNDOFF = 1e-14  # relative objective change that rounding alone can produce
-STALL_ITERS = 25  # a start whose decrease stays at roundoff this long has stalled
 FD_STEP = 1e-6  # central-difference step for W'' from W'
 MAX_K = 10**5  # largest window a solver accepts; each start stores K free sites
 
@@ -283,12 +286,12 @@ class _BoxProblem:
     """
 
     def __init__(self, K: int, r: float, W: DoubleWell, symmetry: str):
-        drop, self.s, self.a, self.lam, self.mirror = _FLAVORS[symmetry]
+        pinned, self.s, self.a, self.lam, self.mirror = _FLAVORS[symmetry]
         self.K = K
         self.r = r
         self.W = W
         self.symmetry = symmetry
-        self.dim = K - drop
+        self.dim = K - pinned
         self.inv_r2 = 1.0 / (r * r)
         # EL residual on the profile equals res_scale * |reduced gradient|
         self.res_scale = r * r / self.s
@@ -346,25 +349,25 @@ class _BoxProblem:
         return self.a + (1.0 - self.a) * (np.arange(self.dim) + lead) / (self.dim + lead)
 
     def starts(self, opts: SolverOptions) -> np.ndarray:
-        """Ramp, steps, seeded random profiles, then extra_starts, one per row.
+        """Ramp, the steps at q = 1/2, 1/4 and 3/4, then extra_starts, one per row.
 
-        Each is moved into the monotone cone and exact duplicates are dropped:
-        the odd symmetries' step starts all become the centred step.
+        Each is clipped into the box, moved into the monotone cone, and exact
+        duplicates are dropped: the odd symmetries' step starts all become
+        the centred step.  An extra start of the wrong shape or with a NaN
+        raises PreconditionError.
         """
         d = self.dim
-        rng = np.random.default_rng(opts.seed)
         pool = [self.ramp_start()]
         for q in (0.5, 0.25, 0.75):
             pool.append(np.where((np.arange(d) + 0.5) / d <= q, -1.0, 1.0))
-        while len(pool) < max(1, opts.multistart):
-            pool.append(np.sort(rng.uniform(-1.0, 1.0, d)))
-        pool = pool[: max(1, opts.multistart)]
         for extra in opts.extra_starts:
             arr = np.asarray(extra, dtype=float)
             if arr.shape != (d,):
                 raise PreconditionError(
                     f"extra start has shape {arr.shape}, expected ({d},)"
                 )
+            if np.isnan(arr).any():
+                raise PreconditionError("extra start has a NaN value")
             pool.append(arr)
         Z = np.clip(np.array(pool), -1.0, 1.0)
         self.into_cone(Z, self.objective(Z))
@@ -423,22 +426,21 @@ def _descend(problem: _BoxProblem, Z: np.ndarray, tol: float, budget: int):
 
     Each iteration takes, per row, the epsilon-active set, eps = min(ACTIVE_EPS,
     |z - P(z - r^2 g / s)|), and backtracks along the projection arc
-    P(z + t d) until the Armijo decrease holds, or, once the objective moves
-    only at roundoff (as near a well), until the projected gradient shrinks.
-    The live rows step in lockstep, so each numpy call serves all of them; only
-    the rows still pending take another backtracking trial.  A row whose
-    accepted step leaves the monotone cone is replaced by its rearrangement
-    when that does not raise its objective.  A row drops out at tol, after
-    STALL_ITERS steps of roundoff-sized decrease, or when no step down to
-    MIN_STEP is acceptable.  budget bounds the iterations summed over the rows;
-    when less is left than there are live rows, the earlier rows step first.
-    Returns the final points and the iterations used.
+    P(z + t d) until the Armijo decrease over the free sites holds, or, once
+    the objective moves only at roundoff (as near a well), until the projected
+    gradient shrinks.  The live rows step in lockstep, so each numpy call
+    serves all of them; only the rows still pending take another backtracking
+    trial.  A row whose accepted step leaves the monotone cone is replaced by
+    its rearrangement when that does not raise its objective.  A row stops in
+    one of three ways: its EL residual reaches tol, no step down to MIN_STEP is
+    acceptable, or the budget, which bounds the iterations summed over the
+    rows, runs out; when less is left than there are live rows, the earlier
+    rows step first.  Returns the final points and the iterations used.
     """
     F = problem.objective(Z)
     G, C = problem.grad_curv(Z)
     res = _projected_residual(G, Z)
     stop = tol / problem.res_scale
-    quiet = np.zeros(len(Z), dtype=int)  # consecutive iterations whose decrease was at roundoff
     live = res >= stop
     used = 0
     while used < budget and live.any():
@@ -449,17 +451,15 @@ def _descend(problem: _BoxProblem, Z: np.ndarray, tol: float, budget: int):
         eps = np.minimum(ACTIVE_EPS, np.sqrt(np.einsum("ij,ij->i", pg, pg)))[:, None]
         active = ((z <= -1.0 + eps) & (g > 0.0)) | ((z >= 1.0 - eps) & (g < 0.0))
         d = _newton_direction(problem, g, C[rows], active)
-        g_active = np.where(active, g, 0.0)
-        free_slope = np.einsum("ij,ij->i", g - g_active, d)
+        free_slope = np.einsum("ij,ij->i", np.where(active, 0.0, g), d)
         t = np.ones(rows.size)
         pending = np.arange(rows.size)
         accepted = np.zeros(rows.size, dtype=bool)
         while pending.size:
-            zp, fp = z[pending], f[pending]
-            trial = np.clip(zp + t[pending, None] * d[pending], -1.0, 1.0)
+            fp = f[pending]
+            trial = np.clip(z[pending] + t[pending, None] * d[pending], -1.0, 1.0)
             f_trial = problem.objective(trial)
-            drop = np.einsum("ij,ij->i", g_active[pending], zp - trial)
-            ok = fp - f_trial >= ARMIJO_C * (drop - t[pending] * free_slope[pending])
+            ok = fp - f_trial >= -ARMIJO_C * t[pending] * free_slope[pending]
             look = np.flatnonzero(ok | (np.abs(fp - f_trial) <= ROUNDOFF * np.abs(fp)))
             if look.size:
                 g_trial, c_trial = problem.grad_curv(trial[look])
@@ -471,7 +471,7 @@ def _descend(problem: _BoxProblem, Z: np.ndarray, tol: float, budget: int):
             accepted[pending[ok]] = True
             pending = pending[~ok]
             t[pending] *= BACKTRACK
-            live[rows[pending[t[pending] < MIN_STEP]]] = False  # stalled at roundoff
+            live[rows[pending[t[pending] < MIN_STEP]]] = False  # no acceptable step
             pending = pending[t[pending] >= MIN_STEP]
         i = rows[accepted]
         if i.size:
@@ -480,10 +480,8 @@ def _descend(problem: _BoxProblem, Z: np.ndarray, tol: float, budget: int):
             if moved.size:
                 Z[i], F[i] = zi, fi
                 G[i[moved]], C[i[moved]] = problem.grad_curv(zi[moved])
-            f0 = f[accepted]
-            quiet[i] = np.where(f0 - fi <= ROUNDOFF * np.abs(f0), quiet[i] + 1, 0)
             res[i] = _projected_residual(G[i], Z[i])
-            live[i] = (res[i] >= stop) & (quiet[i] < STALL_ITERS)
+            live[i] = res[i] >= stop
     return Z, used
 
 
@@ -517,8 +515,8 @@ def _solve(K: int, r: float, W: DoubleWell, opts: Optional[SolverOptions], symme
     opts = opts or SolverOptions()
     if not (opts.tol > 0.0 and math.isfinite(opts.tol)):
         raise PreconditionError(f"tol must be positive and finite, got {opts.tol}")
-    if not (isinstance(opts.seed, (int, np.integer)) and opts.seed >= 0):
-        raise PreconditionError(f"seed must be a nonnegative integer, got {opts.seed!r}")
+    if not isinstance(opts.max_iters, (int, np.integer)):
+        raise PreconditionError(f"max_iters must be an integer, got {opts.max_iters!r}")
     if W.dw is None:
         raise UnsupportedOperationError("solvers need a potential with a derivative")
     return _minimize(_BoxProblem(int(K), float(r), W, symmetry), opts)
@@ -555,9 +553,9 @@ def solve_symmetric_bond(
 
 
 def _orbit_classify(s: float, r: float, W: DoubleWell, symmetry: str, tol: float, horizon: int):
-    """Integrate the recurrence from the symmetric seed and classify.
+    """Integrate the recurrence from the first value s and classify.
 
-    The orbit starts at the seed's left neighbour, the left anchor of the
+    The orbit starts at the left neighbour of s, the left anchor of the
     symmetry (w_0 = 0 for node_odd, the reflection -s for bond_odd).
     Returns (kind, orbit) with kind 'high' (escaped above 1), 'low'
     (turned back or stalled), or 'hit' (landed within tol of 1 from below).
@@ -588,9 +586,9 @@ def shoot_heteroclinic(
     tol: float = 1e-7,
     horizon: int = 1000,
 ) -> LatticeProfile:
-    """Bisect the seed value until the recurrence orbit lands on the well.
+    """Bisect the first value until the recurrence orbit lands on the well.
 
-    The seed s is w_1 for node_odd (with w_0 = 0) and z_0 for bond_odd
+    The first value s is w_1 for node_odd (with w_0 = 0) and z_0 for bond_odd
     (with z_{-1} = -z_0).  Orbits that exceed 1 + 1e-9 overshoot; orbits
     that decrease by more than 1e-12 have turned back.  The returned
     profile stores the orbit truncated at the first value within tol of
@@ -610,7 +608,7 @@ def shoot_heteroclinic(
 
     kind, orbit = _orbit_classify(1.0, r, W, symmetry, tol, horizon)
     if kind == "low":
-        raise NoBracketError("seed s = 1 does not overshoot; no bracket in (0, 1]")
+        raise NoBracketError("s = 1 does not overshoot; no bracket in (0, 1]")
     hi = 1.0
     lo = 1e-8
     if kind == "high":
@@ -618,10 +616,10 @@ def shoot_heteroclinic(
     while kind == "high":
         lo *= 1e-2
         if lo < 1e-300:
-            raise NoBracketError("every seed in (0, 1] overshoots; no bracket")
+            raise NoBracketError("every s in (0, 1] overshoots; no bracket")
         kind, orbit = _orbit_classify(lo, r, W, symmetry, tol, horizon)
 
-    # orbit is the inside seed lo's until a seed hits
+    # orbit is the inside value lo's until a value hits
     while kind != "hit" and hi - lo > 1e-17:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:

@@ -271,6 +271,13 @@ def detect_jumps_loop(samples: SampledFunction, a: float, b: float):
     return locations, sizes
 
 
+def sorted_uniform_starts(rng: np.random.Generator, n: int, d: int) -> tuple:
+    """Oracle starts for the lattice minimizer: n rows of d sorted uniform
+    draws on [-1, 1], to be passed as SolverOptions.extra_starts.  Together
+    with the four default starts, 96 rows make a 100-start pool."""
+    return tuple(np.sort(rng.uniform(-1.0, 1.0, d)) for _ in range(n))
+
+
 def aligned_error_sweep(W, r: float, horizon: int = 2000) -> float:
     """Oracle for convergence_study's err_aligned: the sup error at the
     plateau midpoints minimized over 65 sub-plateau shifts tau in [-r, r]."""

@@ -71,7 +71,7 @@ def sweep():
     """(flavor, r, K) -> SolveReport over both symmetric families.
 
     Each K is warm-started from the previous minimizer extended by 1.0 at
-    the newly freed site, alongside one random restart.
+    the newly freed site, alongside the default starts.
     """
     W = quartic()
     out = {}
@@ -83,10 +83,10 @@ def sweep():
             prev = None
             for K in K_SWEEP:
                 if prev is None:
-                    opts = SolverOptions(multistart=2)
+                    opts = SolverOptions()
                 else:
                     warm = np.append(_free_vars(prev.minimizer, flavor), 1.0)
-                    opts = SolverOptions(multistart=2, extra_starts=(warm,))
+                    opts = SolverOptions(extra_starts=(warm,))
                 rep = solver(K, r, W, opts)
                 out[(flavor, r, K)] = rep
                 prev = rep

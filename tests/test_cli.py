@@ -85,17 +85,26 @@ def test_unconverged_solve_exits_three_but_reports(capsys):
         [
             "solve-heteroclinic",
             "--K", "8", "--r", "0.5",
-            "--max-iters", "1", "--multistart", "1",
+            "--max-iters", "1",
         ],
     )
     assert code == 3
     assert doc["converged"] is False
 
 
-@pytest.mark.parametrize("flags", [["--tol", "inf"], ["--tol", "nan"], ["--tol", "0"], ["--seed", "-1"]])
+@pytest.mark.parametrize("flags", [["--tol", "inf"], ["--tol", "nan"], ["--tol", "0"], ["--tol", "-0.5"]])
 def test_solve_rejects_bad_solver_options(capsys, flags):
     assert run(["solve-heteroclinic", "--K", "4", "--r", "0.5"] + flags) == 2
     assert "must be" in capsys.readouterr().err
+
+
+def test_large_pendulum_window_converges(capsys):
+    argv = ["solve-heteroclinic", "--K", "488", "--r", "0.02", "--symmetry", "node",
+            "--potential", "pendulum"]
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    assert doc["converged"] is True
+    assert doc["el_residual"] <= 1e-10
 
 
 def test_shoot_report(capsys):
@@ -231,8 +240,12 @@ def test_flags_override_config(tmp_path, capsys):
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("frobnication_level = 9\n")
-    assert run(["solve-heteroclinic", "--config", str(cfg), "--K", "2", "--r", "1"]) == 2
+    argv = ["solve-heteroclinic", "--K", "2", "--r", "1"]
+    # the solver takes no random starts, so multistart and seed are unknown too
+    for key in ("frobnication_level", "multistart", "seed"):
+        cfg.write_text(f"{key} = 9\n")
+        assert run(argv + ["--config", str(cfg)]) == 2
+        assert run(argv + [f"--{key}", "9"]) == 2
 
 
 def test_config_rejects_bad_values(tmp_path, capsys):
@@ -277,7 +290,7 @@ def test_config_is_read_in_every_argparse_spelling(tmp_path, capsys, form):
 
 def test_config_key_underscores_read_as_dashes(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("max_iters = 1\nmultistart = 1\n")
+    cfg.write_text("max_iters = 1\n")
     code, doc = run_json(capsys, ["solve-heteroclinic", "--config", str(cfg), "--K", "8", "--r", "0.5"])
     assert code == 3
     assert doc["converged"] is False

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import forbid_large_arange
+from helpers import forbid_large_arange, sorted_uniform_starts
 from oschet import heteroclinic
 from oschet.errors import (
     ConvergenceError,
@@ -98,15 +98,26 @@ def test_three_site_matches_dynamic_programming(r):
 
 
 def test_default_multistart_is_globally_stable():
-    W = quartic()
-    base = solve_discrete_dirichlet(8, 0.5, W)
-    fat = solve_discrete_dirichlet(
-        8, 0.5, W, SolverOptions(multistart=100, seed=321)
-    )
-    assert abs(base.value - fat.value) < 1e-9
-    bond_base = solve_symmetric_bond(6, 0.5, W)
-    bond_fat = solve_symmetric_bond(6, 0.5, W, SolverOptions(multistart=100, seed=77))
-    assert abs(bond_base.value - bond_fat.value) < 1e-9
+    # (well, solver, K, r, rng seed): the first two are the original 100-start
+    # pools; the last two are plain windows where the ramp start alone loses
+    cases = [
+        ("quartic", solve_discrete_dirichlet, 8, 0.5, 321),
+        ("quartic", solve_symmetric_bond, 6, 0.5, 77),
+        ("quartic", solve_symmetric_node, 8, 0.5, 5),
+        ("pendulum", solve_discrete_dirichlet, 8, 0.5, 6),
+        ("pendulum", solve_symmetric_node, 8, 0.5, 7),
+        ("pendulum", solve_symmetric_bond, 6, 0.5, 8),
+        ("quartic", solve_discrete_dirichlet, 5, 2.0, 9),
+        ("pendulum", solve_discrete_dirichlet, 3, 3.0, 10),
+    ]
+    for name, solve, K, r, seed in cases:
+        W = WELLS[name]
+        d = K - (solve is not solve_discrete_dirichlet)
+        fat_pool = sorted_uniform_starts(np.random.default_rng(seed), 96, d)
+        base = solve(K, r, W)
+        fat = solve(K, r, W, SolverOptions(extra_starts=fat_pool))
+        assert base.converged and fat.converged
+        assert abs(base.value - fat.value) <= 1e-12 * abs(fat.value), (name, K, r)
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +188,13 @@ def test_warm_start_is_accepted_and_used():
         7,
         0.5,
         W,
-        SolverOptions(multistart=1, extra_starts=(base.minimizer.values[1:-1],)),
+        SolverOptions(extra_starts=(base.minimizer.values[1:-1],)),
     )
     assert abs(warm.value - base.value) < 1e-10
 
 
 def test_plain_window_converges_in_few_newton_iterations():
-    # eight starts share the count, each converging in tens of Newton steps
+    # four starts share the count, each converging in tens of Newton steps
     report = solve_discrete_dirichlet(16, 0.5, quartic())
     assert report.converged
     assert report.iterations <= 500
@@ -198,7 +209,7 @@ def test_start_with_indefinite_hessian_reaches_the_minimum():
     assert np.max(np.linalg.eigvalsh(lap / r**2 - np.eye(4))) < 0.0
     base = solve_discrete_dirichlet(4, r, W)
     from_zero = solve_discrete_dirichlet(
-        4, r, W, SolverOptions(multistart=1, extra_starts=(np.zeros(4),))
+        4, r, W, SolverOptions(extra_starts=(np.zeros(4),))
     )
     assert base.converged and from_zero.converged
     assert abs(from_zero.value - base.value) < 1e-12
@@ -216,6 +227,16 @@ def test_large_window_still_converges():
     bond = solve_symmetric_bond(96, 0.25, W)
     assert bond.converged
     assert bond.iterations <= 200
+
+
+def test_large_windows_converge_on_the_pendulum():
+    # near the well the objective moves only at roundoff while the EL residual
+    # keeps shrinking, so a start must not stop on a roundoff-sized decrease
+    W = pendulum()
+    report = solve_symmetric_bond(128, 0.1, W)
+    assert report.converged and report.el_residual <= 1e-10
+    report = solve_symmetric_node(128, 0.1, W)
+    assert report.converged and report.el_residual <= 1e-10
 
 
 def test_iteration_budget_bounds_the_summed_iterations():
@@ -243,7 +264,7 @@ def test_rearrangement_never_raises_the_objective(data):
     assert problem.objective(problem.rearrange(z)) <= f + 1e-14 * abs(f)
 
 
-def test_solver_rejects_bad_arguments():
+def test_solver_rejects_bad_arguments(monkeypatch):
     W = quartic()
     with pytest.raises(PreconditionError):
         solve_discrete_dirichlet(0, 0.5, W)
@@ -260,10 +281,17 @@ def test_solver_rejects_bad_arguments():
         for tol in (math.inf, math.nan, 0.0, -1e-10):
             with pytest.raises(PreconditionError, match="tol must be"):
                 solve(4, 0.5, W, SolverOptions(tol=tol))
-        for seed in (-1, 1.5, "0"):
-            with pytest.raises(PreconditionError, match="seed must be"):
-                solve(4, 0.5, W, SolverOptions(seed=seed))
-    assert solve_discrete_dirichlet(4, 0.5, W, SolverOptions(seed=np.int64(3))).converged
+        for budget in (math.nan, math.inf, 2.5):
+            with pytest.raises(PreconditionError, match="max_iters must be"):
+                solve(4, 0.5, W, SolverOptions(max_iters=budget))
+        with pytest.raises(ConvergenceError):
+            solve(4, 0.5, W, SolverOptions(max_iters=0))
+    assert solve_discrete_dirichlet(4, 0.5, W, SolverOptions(max_iters=np.int64(100))).converged
+    # a NaN start is refused before any descent runs
+    monkeypatch.setattr(heteroclinic, "_descend", None)
+    nan_row = np.array([-0.5, math.nan, 0.5, 1.0])
+    with pytest.raises(PreconditionError, match="NaN"):
+        solve_discrete_dirichlet(4, 0.5, W, SolverOptions(extra_starts=(nan_row,)))
 
 
 def test_window_size_is_capped_before_allocating(monkeypatch):
