@@ -216,8 +216,8 @@ def convergence_study(
         raise PreconditionError(f"r_list entries must be positive, got {rs}")
     if any(rs[i + 1] >= rs[i] for i in range(len(rs) - 1)):
         raise PreconditionError(f"r_list must be strictly decreasing, got {rs}")
-    if horizon < 10:
-        raise PreconditionError(f"horizon must be at least 10, got {horizon}")
+    if not (isinstance(horizon, (int, np.integer)) and horizon >= 10):
+        raise PreconditionError(f"horizon must be an integer of at least 10, got {horizon!r}")
 
     classical = _cached_profile(W)
     rows = []

@@ -31,16 +31,17 @@ profile.  All three are one box problem whose Hessian is tridiagonal,
 (s/r^2) tridiag(-1, 2, -1) + s diag(W''), and they share one projected
 Newton method (Bertsekas 1982): a Thomas solve on the free sites, a
 Levenberg shift where W'' < 0 makes that block indefinite, and an Armijo
-search along the projection arc.  It descends from four deterministic
-starts at once, the ramp and the steps at a quarter, half and three
-quarters of the window, plus any extra_starts, one row of a
-(starts x sites) array each, so that one numpy call serves every live
-start.  A start stops when its EL residual reaches tol, when no step is
-acceptable, or when the iteration budget runs out.  The search stays in
-the monotone cone, where the minimizers lie: sorting the free values (for
-the odd symmetries, sorting their odd extension) never raises the energy,
-so each start, and each iterate that leaves the cone, is replaced by its
-rearrangement when that does not raise its objective.
+search along the projection arc.  It descends from two deterministic
+starts, the ramp and the step at the centre of the window, then from any
+extra_starts, one start after another.  A start stops when its EL
+residual reaches tol, when no step is acceptable, or when the iteration
+budget runs out.  Steps off the centre are translates of the kink, which
+only creep back along its tiny lattice barrier, so they are not tried.
+The search stays in the monotone cone, where the minimizers lie: sorting
+the free values (for the odd symmetries, sorting their odd extension)
+never raises the energy, so each start, and each iterate that leaves the
+cone, is replaced by its rearrangement when that does not raise its
+objective.
 
 shoot_heteroclinic integrates the recurrence directly and bisects on the
 first free value until the orbit lands on the well at +1, which produces
@@ -178,13 +179,12 @@ class SolverOptions:
     """Knobs for the projected Newton minimizer.
 
     tol bounds the EL residual of a converged start and max_iters the Newton
-    iterations summed over all starts.  The starts are the ramp, the steps
-    at a quarter, half and three quarters of the window, then extra_starts
-    (a user's own random starts go there), each rearranged into the monotone
-    cone, duplicates dropped.  They descend in lockstep, one iteration each
-    per round; when less budget is left than there are live starts, the
-    earlier ones take it.  A start stops at tol, when no step is acceptable,
-    or when the budget runs out.  A tol that is not positive and finite or a
+    iterations summed over all starts.  The starts are the ramp and the step
+    at the centre of the window, then extra_starts (a user's own random
+    starts go there), each rearranged into the monotone cone, duplicates
+    dropped.  They descend one after another, each with the budget that the
+    earlier ones left.  A start stops at tol, when no step is acceptable, or
+    when the budget runs out.  A tol that is not positive and finite or a
     max_iters that is not an integer raises PreconditionError; a max_iters
     below 1 raises ConvergenceError.
     """
@@ -281,8 +281,7 @@ class _BoxProblem:
     node_odd doubles the mirrored half; bond_odd's reflection w_{-1} = -z_0
     counts its central square once, hence lam = 2.  The Hessian is
     tridiagonal: -s / r^2 off the diagonal, s (2 / r^2 + W'') on it, plus
-    s (lam - 1) / r^2 at z_0.  objective, grad_curv and rearrange work
-    row-wise on a (starts x d) array, one row per start.
+    s (lam - 1) / r^2 at z_0.  Every method takes one start's point z.
     """
 
     def __init__(self, K: int, r: float, W: DoubleWell, symmetry: str):
@@ -296,26 +295,26 @@ class _BoxProblem:
         # EL residual on the profile equals res_scale * |reduced gradient|
         self.res_scale = r * r / self.s
 
-    def objective(self, Z: np.ndarray) -> np.ndarray:
-        d = Z[..., 1:] - Z[..., :-1]
-        ends = self.lam * (Z[..., 0] - self.a) ** 2 + (1.0 - Z[..., -1]) ** 2
-        kin = ends + np.einsum("...i,...i->...", d, d)
-        return self.s * (0.5 * self.inv_r2 * kin + np.sum(eval_w_array(self.W, Z), axis=-1))
+    def objective(self, z: np.ndarray) -> float:
+        d = z[1:] - z[:-1]
+        ends = self.lam * (z[0] - self.a) ** 2 + (1.0 - z[-1]) ** 2
+        kin = ends + np.einsum("i,i->", d, d)
+        return self.s * (0.5 * self.inv_r2 * kin + np.sum(eval_w_array(self.W, z)))
 
-    def grad_curv(self, Z: np.ndarray):
+    def grad_curv(self, z: np.ndarray):
         """Gradient and s * W''(z), the potential's part of the Hessian diagonal."""
-        n = Z.shape[-1]
+        n = z.size
         # z_0's left neighbour: -1 (none), 0 (node_odd) or the reflection -z_0 (bond_odd)
-        anchor = (1.0 - self.lam) * Z[..., :1] + self.lam * self.a
-        left = np.concatenate((anchor, Z[..., :-1]), axis=-1)
-        right = np.concatenate((Z[..., 1:], np.ones_like(Z[..., :1])), axis=-1)
-        dw = eval_dw_array(self.W, np.concatenate((Z, Z + FD_STEP, Z - FD_STEP), axis=-1))
-        grad = self.s * (self.inv_r2 * (2.0 * Z - left - right) + dw[..., :n])
-        return grad, self.s * (dw[..., n : 2 * n] - dw[..., 2 * n :]) / (2.0 * FD_STEP)
+        anchor = (1.0 - self.lam) * z[:1] + self.lam * self.a
+        left = np.concatenate((anchor, z[:-1]))
+        right = np.append(z[1:], 1.0)
+        dw = eval_dw_array(self.W, np.concatenate((z, z + FD_STEP, z - FD_STEP)))
+        grad = self.s * (self.inv_r2 * (2.0 * z - left - right) + dw[:n])
+        return grad, self.s * (dw[n : 2 * n] - dw[2 * n :]) / (2.0 * FD_STEP)
 
-    def rearrange(self, Z: np.ndarray) -> np.ndarray:
-        """The monotone rearrangement of each row: the sorted values for none,
-        and for the odd symmetries the upper half of the sorted odd extension.
+    def rearrange(self, z: np.ndarray) -> np.ndarray:
+        """The monotone rearrangement of z: the sorted values for none, and
+        for the odd symmetries the upper half of the sorted odd extension.
 
         Sorting values between ends pinned at -1 and +1 never raises their
         kinetic sum (the rearrangement inequality, Hardy, Littlewood & Polya
@@ -323,22 +322,19 @@ class _BoxProblem:
         symmetries this applies to the odd extension, and taking |z| keeps
         the potential sum only when W is even.
         """
-        return np.sort(Z if self.mirror is None else np.abs(Z), axis=-1)
+        return np.sort(z if self.mirror is None else np.abs(z))
 
-    def into_cone(self, Z: np.ndarray, F: np.ndarray) -> np.ndarray:
-        """Replace rows of Z by their rearrangement where that does not raise
-        their objective F, in place; returns the indices of the replaced rows.
+    def into_cone(self, z: np.ndarray, f: float):
+        """The rearrangement of z and its objective, or None when z is already
+        monotone or its rearrangement would raise its objective f.
 
         The check keeps each replacement a descent step for a W that is not even.
         """
-        R = self.rearrange(Z)
-        rows = np.flatnonzero(np.any(R != Z, axis=-1))
-        if rows.size:
-            f_sorted = self.objective(R[rows])
-            keep = f_sorted <= F[rows]
-            rows = rows[keep]
-            Z[rows], F[rows] = R[rows], f_sorted[keep]
-        return rows
+        R = self.rearrange(z)
+        if np.array_equal(R, z):
+            return None
+        f_sorted = self.objective(R)
+        return (R, f_sorted) if f_sorted <= f else None
 
     def profile(self, z: np.ndarray) -> LatticeProfile:
         return _assemble(self.r, np.append(z, 1.0), self.symmetry)
@@ -348,18 +344,15 @@ class _BoxProblem:
         lead = 1.0 - 0.5 * (self.lam - 1.0)
         return self.a + (1.0 - self.a) * (np.arange(self.dim) + lead) / (self.dim + lead)
 
-    def starts(self, opts: SolverOptions) -> np.ndarray:
-        """Ramp, the steps at q = 1/2, 1/4 and 3/4, then extra_starts, one per row.
+    def starts(self, opts: SolverOptions) -> list:
+        """The ramp, the step at the centre of the window, then extra_starts.
 
-        Each is clipped into the box, moved into the monotone cone, and exact
-        duplicates are dropped: the odd symmetries' step starts all become
-        the centred step.  An extra start of the wrong shape or with a NaN
-        raises PreconditionError.
+        Each is clipped into the box and moved into the monotone cone, and
+        exact duplicates are dropped.  An extra start of the wrong shape or
+        with a NaN raises PreconditionError.
         """
         d = self.dim
-        pool = [self.ramp_start()]
-        for q in (0.5, 0.25, 0.75):
-            pool.append(np.where((np.arange(d) + 0.5) / d <= q, -1.0, 1.0))
+        pool = [self.ramp_start(), np.where((np.arange(d) + 0.5) / d <= 0.5, -1.0, 1.0)]
         for extra in opts.extra_starts:
             arr = np.asarray(extra, dtype=float)
             if arr.shape != (d,):
@@ -369,15 +362,20 @@ class _BoxProblem:
             if np.isnan(arr).any():
                 raise PreconditionError("extra start has a NaN value")
             pool.append(arr)
-        Z = np.clip(np.array(pool), -1.0, 1.0)
-        self.into_cone(Z, self.objective(Z))
-        return np.array(list(dict.fromkeys(map(tuple, Z.tolist()))))
+        unique = {}
+        for z in pool:
+            z = np.clip(z, -1.0, 1.0)
+            moved = self.into_cone(z, self.objective(z))
+            if moved is not None:
+                z = moved[0]
+            unique.setdefault(tuple(z.tolist()), z)
+        return list(unique.values())
 
 
-def _projected_residual(G: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Largest gradient entry per row that the bounds do not block."""
-    blocked = ((Z <= -1.0) & (G > 0.0)) | ((Z >= 1.0) & (G < 0.0))
-    return np.max(np.abs(np.where(blocked, 0.0, G)), axis=-1)
+def _projected_residual(g: np.ndarray, z: np.ndarray) -> float:
+    """Largest gradient entry that the bounds do not block."""
+    blocked = ((z <= -1.0) & (g > 0.0)) | ((z >= 1.0) & (g < 0.0))
+    return np.max(np.abs(np.where(blocked, 0.0, g)))
 
 
 def _thomas(diag: list, off: list, rhs: list, floor: float):
@@ -399,98 +397,79 @@ def _thomas(diag: list, off: list, rhs: list, floor: float):
     return x
 
 
-def _newton_direction(problem: _BoxProblem, G, C, active) -> np.ndarray:
+def _newton_direction(problem: _BoxProblem, g, c, active) -> np.ndarray:
     """Newton step on the free sites, scaled gradient step on the active ones.
 
-    Active rows of the Hessian are decoupled, so one Thomas solve per start
-    serves both.  An indefinite free block is retried with a Levenberg shift
+    Active rows of the Hessian are decoupled, so one Thomas solve serves
+    both.  An indefinite free block is retried with a Levenberg shift
     growing tenfold from LEVENBERG_START s / r^2; once it covers max(-s W'')
     every pivot is >= s / r^2.
     """
     unit = problem.s * problem.inv_r2
-    diag = np.where(active, 0.0, C) + 2.0 * unit
-    diag[:, 0] += (problem.lam - 1.0) * unit
-    off = np.where(active[:, :-1] | active[:, 1:], 0.0, -unit)
-    steps = []
-    for dg, of, rhs in zip(diag.tolist(), off.tolist(), (-G).tolist()):
-        shift = 0.0
-        while (d := _thomas([x + shift for x in dg], of, rhs, PIVOT_FLOOR * unit)) is None:
-            shift = max(10.0 * shift, LEVENBERG_START * unit)
-        steps.append(d)
-    return np.array(steps)
+    diag = np.where(active, 0.0, c) + 2.0 * unit
+    diag[0] += (problem.lam - 1.0) * unit
+    off = np.where(active[:-1] | active[1:], 0.0, -unit).tolist()
+    diag, rhs = diag.tolist(), (-g).tolist()
+    shift = 0.0
+    while (d := _thomas([x + shift for x in diag], off, rhs, PIVOT_FLOOR * unit)) is None:
+        shift = max(10.0 * shift, LEVENBERG_START * unit)
+    return np.array(d)
 
 
-def _descend(problem: _BoxProblem, Z: np.ndarray, tol: float, budget: int):
-    """Projected Newton from every start at once (Bertsekas, SIAM J. Control
-    Optim. 1982), one row of Z per start.
+def _descend(problem: _BoxProblem, z: np.ndarray, tol: float, budget: int):
+    """Projected Newton from one start z (Bertsekas, SIAM J. Control Optim. 1982).
 
-    Each iteration takes, per row, the epsilon-active set, eps = min(ACTIVE_EPS,
+    Each iteration takes the epsilon-active set, eps = min(ACTIVE_EPS,
     |z - P(z - r^2 g / s)|), and backtracks along the projection arc
     P(z + t d) until the Armijo decrease over the free sites holds, or, once
-    the objective moves only at roundoff (as near a well), until the projected
-    gradient shrinks.  The live rows step in lockstep, so each numpy call
-    serves all of them; only the rows still pending take another backtracking
-    trial.  A row whose accepted step leaves the monotone cone is replaced by
-    its rearrangement when that does not raise its objective.  A row stops in
-    one of three ways: its EL residual reaches tol, no step down to MIN_STEP is
-    acceptable, or the budget, which bounds the iterations summed over the
-    rows, runs out; when less is left than there are live rows, the earlier
-    rows step first.  Returns the final points and the iterations used.
+    the objective moves only at roundoff (as near a well), until the
+    projected gradient shrinks.  An accepted step that leaves the monotone
+    cone is replaced by its rearrangement when that does not raise the
+    objective.  The start stops in one of three ways: its EL residual
+    reaches tol, no step down to MIN_STEP is acceptable, or the budget of
+    iterations runs out.  Returns the final point and the iterations used.
     """
-    F = problem.objective(Z)
-    G, C = problem.grad_curv(Z)
-    res = _projected_residual(G, Z)
+    f = problem.objective(z)
+    g, c = problem.grad_curv(z)
+    res = _projected_residual(g, z)
     stop = tol / problem.res_scale
-    live = res >= stop
     used = 0
-    while used < budget and live.any():
-        rows = np.flatnonzero(live)[: budget - used]
-        used += rows.size
-        z, g, f = Z[rows], G[rows], F[rows]
+    while used < budget and res >= stop:
+        used += 1
         pg = z - np.clip(z - problem.res_scale * g, -1.0, 1.0)
-        eps = np.minimum(ACTIVE_EPS, np.sqrt(np.einsum("ij,ij->i", pg, pg)))[:, None]
+        eps = min(ACTIVE_EPS, np.sqrt(np.einsum("i,i->", pg, pg)))
         active = ((z <= -1.0 + eps) & (g > 0.0)) | ((z >= 1.0 - eps) & (g < 0.0))
-        d = _newton_direction(problem, g, C[rows], active)
-        free_slope = np.einsum("ij,ij->i", np.where(active, 0.0, g), d)
-        t = np.ones(rows.size)
-        pending = np.arange(rows.size)
-        accepted = np.zeros(rows.size, dtype=bool)
-        while pending.size:
-            fp = f[pending]
-            trial = np.clip(z[pending] + t[pending, None] * d[pending], -1.0, 1.0)
+        d = _newton_direction(problem, g, c, active)
+        free_slope = np.einsum("i,i->", np.where(active, 0.0, g), d)
+        t = 1.0
+        while True:
+            trial = np.clip(z + t * d, -1.0, 1.0)
             f_trial = problem.objective(trial)
-            ok = fp - f_trial >= -ARMIJO_C * t[pending] * free_slope[pending]
-            look = np.flatnonzero(ok | (np.abs(fp - f_trial) <= ROUNDOFF * np.abs(fp)))
-            if look.size:
-                g_trial, c_trial = problem.grad_curv(trial[look])
-                ok[look] |= _projected_residual(g_trial, trial[look]) < res[rows[pending[look]]]
-                won = ok[look]
-                i = rows[pending[look[won]]]
-                Z[i], F[i] = trial[look[won]], f_trial[look[won]]
-                G[i], C[i] = g_trial[won], c_trial[won]
-            accepted[pending[ok]] = True
-            pending = pending[~ok]
-            t[pending] *= BACKTRACK
-            live[rows[pending[t[pending] < MIN_STEP]]] = False  # no acceptable step
-            pending = pending[t[pending] >= MIN_STEP]
-        i = rows[accepted]
-        if i.size:
-            zi, fi = Z[i], F[i]
-            moved = problem.into_cone(zi, fi)
-            if moved.size:
-                Z[i], F[i] = zi, fi
-                G[i[moved]], C[i[moved]] = problem.grad_curv(zi[moved])
-            res[i] = _projected_residual(G[i], Z[i])
-            live[i] = res[i] >= stop
-    return Z, used
+            ok = f - f_trial >= -ARMIJO_C * t * free_slope
+            if ok or abs(f - f_trial) <= ROUNDOFF * abs(f):
+                g_trial, c_trial = problem.grad_curv(trial)
+                if ok or _projected_residual(g_trial, trial) < res:
+                    break
+            t *= BACKTRACK
+            if t < MIN_STEP:
+                return z, used  # no acceptable step
+        z, f, g, c = trial, f_trial, g_trial, c_trial
+        moved = problem.into_cone(z, f)
+        if moved is not None:
+            z, f = moved
+            g, c = problem.grad_curv(z)
+        res = _projected_residual(g, z)
+    return z, used
 
 
 def _minimize(problem: _BoxProblem, opts: SolverOptions) -> SolveReport:
     if opts.max_iters <= 0:
         raise ConvergenceError("iteration budget exhausted before any start ran")
-    Z, used = _descend(problem, problem.starts(opts), opts.tol, opts.max_iters)
+    used = 0
     candidates = []
-    for z in Z:
+    for start in problem.starts(opts):
+        z, n = _descend(problem, start, opts.tol, opts.max_iters - used)
+        used += n
         prof = problem.profile(z)
         res = el_residual(prof, problem.W)
         val = discrete_energy(prof, problem.W, prof.n_min, problem.K)
@@ -601,8 +580,8 @@ def shoot_heteroclinic(
         raise PreconditionError(f"symmetry must be node_odd or bond_odd, got {symmetry!r}")
     if not (0.0 < tol < 0.1):
         raise PreconditionError(f"tol must be in (0, 0.1), got {tol}")
-    if horizon < 10:
-        raise PreconditionError(f"horizon must be at least 10, got {horizon}")
+    if not (isinstance(horizon, (int, np.integer)) and horizon >= 10):
+        raise PreconditionError(f"horizon must be an integer of at least 10, got {horizon!r}")
     if W.dw is None:
         raise UnsupportedOperationError("shooting needs a potential with a derivative")
 
@@ -695,7 +674,7 @@ def step_is_not_minimal(
     if eps_grid is None:
         eps_grid = np.linspace(0.0, 1.0, 401)
     eps = np.asarray(eps_grid, dtype=float)
-    if eps.ndim != 1 or eps.size == 0 or np.any(eps < 0.0) or np.any(eps > 1.0):
+    if eps.ndim != 1 or eps.size == 0 or not np.all((eps >= 0.0) & (eps <= 1.0)):
         raise PreconditionError("eps_grid must be a nonempty 1-d array inside [0, 1]")
     base = 4.0 / r
     energies = base + (2.0 * eps * eps - 4.0 * eps) / r + 2.0 * r * eval_w_array(W, 1.0 - eps)

@@ -274,8 +274,17 @@ def detect_jumps_loop(samples: SampledFunction, a: float, b: float):
 def sorted_uniform_starts(rng: np.random.Generator, n: int, d: int) -> tuple:
     """Oracle starts for the lattice minimizer: n rows of d sorted uniform
     draws on [-1, 1], to be passed as SolverOptions.extra_starts.  Together
-    with the four default starts, 96 rows make a 100-start pool."""
+    with the two default starts and the two off_centre_steps, 96 rows make
+    a 100-start pool."""
     return tuple(np.sort(rng.uniform(-1.0, 1.0, d)) for _ in range(n))
+
+
+def off_centre_steps(d: int) -> tuple:
+    """Oracle starts for the lattice minimizer: the steps from -1 to +1 at a
+    quarter and at three quarters of d free sites, to be passed as
+    SolverOptions.extra_starts.  The minimizer tries only the centred step."""
+    q = (np.arange(d) + 0.5) / d
+    return tuple(np.where(q <= edge, -1.0, 1.0) for edge in (0.25, 0.75))
 
 
 def aligned_error_sweep(W, r: float, horizon: int = 2000) -> float:

@@ -181,14 +181,18 @@ def test_convergence_energy_approaches_the_line_integral():
     assert gaps[-1] < 1e-3
 
 
-def test_convergence_study_validates_input():
+def test_convergence_study_validates_input(monkeypatch):
     W = quartic()
+    # every check runs before the classical profile's table is built
+    monkeypatch.setattr(asymptotics, "_cached_profile", None)
     with pytest.raises(PreconditionError):
         convergence_study(W, [])
     with pytest.raises(PreconditionError):
         convergence_study(W, [0.1, 0.2])  # must decrease
     with pytest.raises(PreconditionError):
         convergence_study(W, [0.2, 0.1], horizon=3)
+    with pytest.raises(PreconditionError, match="horizon"):
+        convergence_study(W, [0.2, 0.1], horizon=20.5)
 
 
 def test_table_column_names_are_checked():

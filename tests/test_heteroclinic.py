@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import forbid_large_arange, sorted_uniform_starts
+from helpers import forbid_large_arange, off_centre_steps, sorted_uniform_starts
 from oschet import heteroclinic
 from oschet.errors import (
     ConvergenceError,
@@ -33,6 +33,11 @@ from oschet.potential import custom, eval_w, eval_w_array, pendulum, quartic
 from oschet.sampled import SampledFunction, energy_E, energy_F
 
 WELLS = {"quartic": quartic(), "pendulum": pendulum()}
+# each well times 4: (r / 2, 4 W) scales every term of the lattice energy by 4
+FOUR_WELLS = {
+    name: custom(lambda t, W=W: 4.0 * W.w(t), lambda t, W=W: 4.0 * W.dw(t))
+    for name, W in WELLS.items()
+}
 
 
 def window_energy(values, r, W):
@@ -99,7 +104,9 @@ def test_three_site_matches_dynamic_programming(r):
 
 def test_default_multistart_is_globally_stable():
     # (well, solver, K, r, rng seed): the first two are the original 100-start
-    # pools; the last two are plain windows where the ramp start alone loses
+    # pools; the last two are plain windows where the ramp start alone loses.
+    # The pool is the two default starts, the two off-centre steps and 96
+    # sorted random rows.
     cases = [
         ("quartic", solve_discrete_dirichlet, 8, 0.5, 321),
         ("quartic", solve_symmetric_bond, 6, 0.5, 77),
@@ -115,9 +122,27 @@ def test_default_multistart_is_globally_stable():
         d = K - (solve is not solve_discrete_dirichlet)
         fat_pool = sorted_uniform_starts(np.random.default_rng(seed), 96, d)
         base = solve(K, r, W)
-        fat = solve(K, r, W, SolverOptions(extra_starts=fat_pool))
+        fat = solve(K, r, W, SolverOptions(extra_starts=off_centre_steps(d) + fat_pool))
         assert base.converged and fat.converged
         assert abs(base.value - fat.value) <= 1e-12 * abs(fat.value), (name, K, r)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_off_centre_steps_never_find_a_lower_value(data):
+    # in a plain window the steps at a quarter and three quarters are
+    # translates of the kink; the default starts must reach their value.
+    # The budget caps a draw where a start creeps (quartic plain K = 19,
+    # r = 1.1276 and K = 37, r = 1.1469 take about 12,000 iterations); the
+    # default starts run first with the same budget in both solves.
+    W = WELLS[data.draw(st.sampled_from(sorted(WELLS)))]
+    K = data.draw(st.integers(1, 48))
+    r = data.draw(st.floats(0.05, 5.0))
+    base = solve_discrete_dirichlet(K, r, W, SolverOptions(max_iters=1000))
+    oracle = solve_discrete_dirichlet(
+        K, r, W, SolverOptions(max_iters=1000, extra_starts=off_centre_steps(K))
+    )
+    assert base.value <= oracle.value + 1e-12 * abs(oracle.value)
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +219,15 @@ def test_warm_start_is_accepted_and_used():
 
 
 def test_plain_window_converges_in_few_newton_iterations():
-    # four starts share the count, each converging in tens of Newton steps
+    # two starts share the count, each converging in tens of Newton steps
     report = solve_discrete_dirichlet(16, 0.5, quartic())
     assert report.converged
     assert report.iterations <= 500
+    # large windows: a step off the centre would creep back along the kink's
+    # lattice barrier for over 13,000 iterations
+    for K, r, W, most in ((96, 0.25, quartic(), 100), (200, 0.1, pendulum(), 300)):
+        report = solve_discrete_dirichlet(K, r, W)
+        assert report.converged and report.iterations <= most, (K, r, report.iterations)
 
 
 def test_start_with_indefinite_hessian_reaches_the_minimum():
@@ -248,6 +278,30 @@ def test_iteration_budget_bounds_the_summed_iterations():
         for budget in range(1, 21):
             report = solve(12, 0.5, W, SolverOptions(max_iters=budget))
             assert report.iterations <= budget
+    # the starts run one after another, so the ramp alone may spend the budget
+    assert solve_discrete_dirichlet(12, 0.5, W, SolverOptions(max_iters=5)).converged
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_descent_scales_exactly_with_r_and_the_well(data):
+    # (r / 2, 4 W) multiplies every term of the box objective by 4, a power
+    # of two, so every step of a descent from the same start scales exactly;
+    # the budget caps a draw where a start creeps, and a cut descent scales too
+    name = data.draw(st.sampled_from(sorted(WELLS)))
+    symmetry = data.draw(st.sampled_from(["none", "node_odd", "bond_odd"]))
+    K = data.draw(st.integers(2, 40))
+    r = data.draw(st.floats(0.05, 2.0))
+    problem = heteroclinic._BoxProblem(K, r, WELLS[name], symmetry)
+    scaled = heteroclinic._BoxProblem(K, r / 2, FOUR_WELLS[name], symmetry)
+    opts = SolverOptions()
+    starts = problem.starts(opts)
+    assert [z.tobytes() for z in scaled.starts(opts)] == [z.tobytes() for z in starts]
+    for start in starts:
+        z, used = heteroclinic._descend(problem, start, opts.tol, 500)
+        z4, used4 = heteroclinic._descend(scaled, start, opts.tol, 500)
+        assert z4.tobytes() == z.tobytes() and used4 == used
+        assert scaled.objective(z4) == 4.0 * problem.objective(z)
 
 
 @given(data=st.data())
@@ -403,6 +457,10 @@ def test_shooting_rejects_bad_arguments():
         shoot_heteroclinic(0.5, W, "diagonal")
     with pytest.raises(PreconditionError):
         shoot_heteroclinic(0.5, W, tol=0.5)
+    # range() would raise a bare TypeError on these
+    for horizon in (20.5, math.nan, math.inf):
+        with pytest.raises(PreconditionError, match="horizon"):
+            shoot_heteroclinic(0.5, W, horizon=horizon)
     with pytest.raises(UnsupportedOperationError):
         shoot_heteroclinic(0.5, custom(lambda t: (1 - t * t) ** 2 / 4))
 
@@ -553,6 +611,9 @@ def test_witness_formula_matches_sampled_energy():
 def test_witness_rejects_bad_grid():
     with pytest.raises(PreconditionError):
         step_is_not_minimal(0.5, quartic(), eps_grid=[0.5, 1.5])
+    # a NaN fails both range comparisons, and would come back as best_eps
+    with pytest.raises(PreconditionError):
+        step_is_not_minimal(0.5, quartic(), eps_grid=[0.1, math.nan])
 
 
 @given(r=st.floats(0.05, 1.5), s=st.floats(-0.999, 0.999))
