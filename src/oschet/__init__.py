@@ -5,9 +5,10 @@ The package studies the energy
     E(u) = (1/(2 r^2)) integral osc_{(x-r, x+r)}(u)^2 dx + integral W(u) dx
 
 for a double-well potential W: step functions on uniform grids, the
-discrete lattice reduction and its minimizers, bisection shooting for
-the infinite-lattice connection, the explicit Dirichlet solver for the
-nonlocal second difference D_r, and the classical continuum limit.
+discrete lattice reduction and its minimizers, the infinite-lattice
+connection as a box solve with a transparent end, the explicit
+Dirichlet solver for the nonlocal second difference D_r, and the
+classical continuum limit.
 """
 
 from .errors import (

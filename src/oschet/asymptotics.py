@@ -17,8 +17,9 @@ the quartic well the closed form u(x) = tanh(x / (2 sqrt(2))) is used
 directly and the tabulated path is kept for cross-checks.  eval_array is
 the one evaluator for scalars and arrays alike; eval reads through it.
 
-convergence_study shoots the node-symmetric lattice connection for each
-r and compares plateau values against the classical profile at plateau
+convergence_study takes the node-symmetric lattice connection for each
+r from shoot_heteroclinic, whose window follows from r and W, and
+compares plateau values against the classical profile at plateau
 midpoints, as they are and after the best sub-plateau translation, which
 for these odd monotone profiles is always a shift by r.
 """
@@ -175,7 +176,6 @@ class ConvergenceRow:
 @dataclass(frozen=True)
 class ConvergenceTable:
     kind: str
-    horizon: int
     rows: Tuple[ConvergenceRow, ...]
 
     def column(self, name: str) -> np.ndarray:
@@ -184,15 +184,13 @@ class ConvergenceTable:
         return np.array([getattr(row, name) for row in self.rows])
 
 
-def convergence_study(
-    W: DoubleWell, r_list: Sequence[float], horizon: int = 2000
-) -> ConvergenceTable:
-    """Compare shot lattice connections against the classical profile.
+def convergence_study(W: DoubleWell, r_list: Sequence[float]) -> ConvergenceTable:
+    """Compare lattice connections against the classical profile.
 
-    For each r the node-odd connection is shot, its plateau n is placed
-    on [2nr, 2(n+1)r), and the profile is probed at plateau midpoints
-    (2n + 1) r.  err is the sup difference as-is; err_aligned is the
-    least sup difference over a sub-plateau shift tau in [-r, r] of the
+    For each r the node-odd connection is shot to tol = 1e-7, its plateau
+    n is placed on [2nr, 2(n+1)r), and the profile is probed at plateau
+    midpoints (2n + 1) r.  err is the sup difference as-is; err_aligned is
+    the least sup difference over a sub-plateau shift tau in [-r, r] of the
     probes, which removes the free horizontal shift the lattice problem
     does not pin down.  tau = r always attains it, so
 
@@ -216,13 +214,11 @@ def convergence_study(
         raise PreconditionError(f"r_list entries must be positive, got {rs}")
     if any(rs[i + 1] >= rs[i] for i in range(len(rs) - 1)):
         raise PreconditionError(f"r_list must be strictly decreasing, got {rs}")
-    if not (isinstance(horizon, (int, np.integer)) and horizon >= 10):
-        raise PreconditionError(f"horizon must be an integer of at least 10, got {horizon!r}")
 
     classical = _cached_profile(W)
     rows = []
     for r in rs:
-        prof = shoot_heteroclinic(r, W, symmetry="node_odd", tol=1e-7, horizon=horizon)
+        prof = shoot_heteroclinic(r, W, symmetry="node_odd", tol=1e-7)
         ns = np.arange(prof.n_min, prof.n_max + 1)
         mids = (2.0 * ns + 1.0) * r
         w = prof.values
@@ -230,4 +226,4 @@ def convergence_study(
         err_aligned = float(np.max(np.abs(w - classical.eval_array(mids - r))))
         energy = 2.0 * r * discrete_energy(prof, W, prof.n_min - 1, prof.n_max)
         rows.append(ConvergenceRow(r=r, err=err, err_aligned=err_aligned, energy=energy))
-    return ConvergenceTable(kind=W.kind, horizon=int(horizon), rows=tuple(rows))
+    return ConvergenceTable(kind=W.kind, rows=tuple(rows))

@@ -160,12 +160,12 @@ def _cmd_solve_heteroclinic(args) -> tuple:
 
 
 @_command(
-    "shoot", "shooting method for the lattice connection", "JSON report",
+    "shoot", "infinite-lattice connection from a transparent-end box", "JSON report",
     ("--r", dict(type=float, required=True)),
     _POTENTIAL,
     ("--symmetry", dict(default="node", choices=["node", "bond"])),
     ("--tol", dict(type=float, default=1e-7)),
-    ("--horizon", dict(type=int, default=1000)),
+    ("--horizon", dict(type=int, default=heteroclinic.MAX_K, help="largest window K")),
 )
 def _cmd_shoot(args) -> tuple:
     W = getattr(potential, args.potential)()
@@ -228,11 +228,10 @@ def _cmd_solve_dirichlet(args) -> tuple:
     "converge-study", "error table against the classical profile", "JSON",
     ("--r-list", dict(type=_float_list, required=True, help="comma separated, decreasing")),
     _POTENTIAL,
-    ("--horizon", dict(type=int, default=2000)),
 )
 def _cmd_converge_study(args) -> tuple:
     W = getattr(potential, args.potential)()
-    table = asymptotics.convergence_study(W, args.r_list, horizon=args.horizon)
+    table = asymptotics.convergence_study(W, args.r_list)
     obj = {
         "potential": args.potential,
         "rows": [dataclasses.asdict(row) for row in table.rows],

@@ -18,7 +18,7 @@ class UnsupportedOperationError(RuntimeError):
 
 
 class NoBracketError(RuntimeError):
-    """A bisection search could not bracket the target behaviour."""
+    """No connection to the target exists, as for a well without a decaying tail."""
 
 
 class ConvergenceError(RuntimeError):

@@ -43,9 +43,12 @@ never raises the energy, so each start, and each iterate that leaves the
 cone, is replaced by its rearrangement when that does not raise its
 objective.
 
-shoot_heteroclinic integrates the recurrence directly and bisects on the
-first free value until the orbit lands on the well at +1, which produces
-the infinite-lattice connection without choosing a window.
+shoot_heteroclinic takes the infinite-lattice connection from the same
+box problem, odd about a node or a bond, with its pinned end replaced by
+the exact energy of the linearized tail beyond it (Beyn's projection
+boundary condition, IMA J. Numer. Anal. 1990): past the last free site
+the gap to the well decays geometrically, so the window needed follows
+from r and W''(1) alone.
 """
 
 from __future__ import annotations
@@ -83,9 +86,6 @@ __all__ = [
     "energy_upper_bounds",
     "step_is_not_minimal",
 ]
-
-ESCAPE_PAD = 1e-9  # orbit above 1 + pad has left the box for good
-TURNBACK_PAD = 1e-12  # decrease below this is a genuine turn, not roundoff
 
 # symmetry -> (free sites K - pinned, objective scale s, left anchor a, anchor weight lam,
 #              mirror n_min + n_max with w_{mirror - n} = -w_n, None when not odd)
@@ -282,14 +282,24 @@ class _BoxProblem:
     counts its central square once, hence lam = 2.  The Hessian is
     tridiagonal: -s / r^2 off the diagonal, s (2 / r^2 + W'') on it, plus
     s (lam - 1) / r^2 at z_0.  Every method takes one start's point z.
+
+    A tail ratio mu in (0, 1) makes the right end transparent: the sites
+    beyond z_{d-1} follow the geometric tail 1 - mu^j (1 - z_{d-1}) of the
+    recurrence linearized at the well, whose kinetic and potential energy
+    together are (1 - mu) (1 - z_{d-1})^2 / (2 r^2) when mu is the decaying
+    root of mu^2 - (2 + r^2 W''(1)) mu + 1 = 0.  So the last square gets the
+    factor 1 - mu, the last site's right neighbour is 1 - mu (1 - z_{d-1}),
+    and the last Hessian diagonal entry loses mu s / r^2.  mu = 0 is the
+    pinned end.
     """
 
-    def __init__(self, K: int, r: float, W: DoubleWell, symmetry: str):
+    def __init__(self, K: int, r: float, W: DoubleWell, symmetry: str, mu: float = 0.0):
         pinned, self.s, self.a, self.lam, self.mirror = _FLAVORS[symmetry]
         self.K = K
         self.r = r
         self.W = W
         self.symmetry = symmetry
+        self.mu = mu
         self.dim = K - pinned
         self.inv_r2 = 1.0 / (r * r)
         # EL residual on the profile equals res_scale * |reduced gradient|
@@ -297,7 +307,7 @@ class _BoxProblem:
 
     def objective(self, z: np.ndarray) -> float:
         d = z[1:] - z[:-1]
-        ends = self.lam * (z[0] - self.a) ** 2 + (1.0 - z[-1]) ** 2
+        ends = self.lam * (z[0] - self.a) ** 2 + (1.0 - self.mu) * (1.0 - z[-1]) ** 2
         kin = ends + np.einsum("i,i->", d, d)
         return self.s * (0.5 * self.inv_r2 * kin + np.sum(eval_w_array(self.W, z)))
 
@@ -307,7 +317,7 @@ class _BoxProblem:
         # z_0's left neighbour: -1 (none), 0 (node_odd) or the reflection -z_0 (bond_odd)
         anchor = (1.0 - self.lam) * z[:1] + self.lam * self.a
         left = np.concatenate((anchor, z[:-1]))
-        right = np.append(z[1:], 1.0)
+        right = np.append(z[1:], 1.0 - self.mu * (1.0 - z[-1]))
         dw = eval_dw_array(self.W, np.concatenate((z, z + FD_STEP, z - FD_STEP)))
         grad = self.s * (self.inv_r2 * (2.0 * z - left - right) + dw[:n])
         return grad, self.s * (dw[n : 2 * n] - dw[2 * n :]) / (2.0 * FD_STEP)
@@ -408,6 +418,7 @@ def _newton_direction(problem: _BoxProblem, g, c, active) -> np.ndarray:
     unit = problem.s * problem.inv_r2
     diag = np.where(active, 0.0, c) + 2.0 * unit
     diag[0] += (problem.lam - 1.0) * unit
+    diag[-1] -= problem.mu * unit
     off = np.where(active[:-1] | active[1:], 0.0, -unit).tolist()
     diag, rhs = diag.tolist(), (-g).tolist()
     shift = 0.0
@@ -527,35 +538,12 @@ def solve_symmetric_bond(
 
 
 # ---------------------------------------------------------------------------
-# shooting
+# the infinite-lattice connection
 # ---------------------------------------------------------------------------
 
 
-def _orbit_classify(s: float, r: float, W: DoubleWell, symmetry: str, tol: float, horizon: int):
-    """Integrate the recurrence from the first value s and classify.
-
-    The orbit starts at the left neighbour of s, the left anchor of the
-    symmetry (w_0 = 0 for node_odd, the reflection -s for bond_odd).
-    Returns (kind, orbit) with kind 'high' (escaped above 1), 'low'
-    (turned back or stalled), or 'hit' (landed within tol of 1 from below).
-    """
-    _, _, a, lam, _ = _FLAVORS[symmetry]
-    orbit = [(1.0 - lam) * s + lam * a, s]
-    r2 = r * r
-    dw = W.dw
-    prev, cur = orbit[-2], orbit[-1]
-    for _ in range(horizon):
-        nxt = 2.0 * cur - prev + r2 * float(dw(cur))
-        if nxt <= 1.0 and abs(nxt - 1.0) < tol:
-            orbit.append(nxt)
-            return "hit", orbit
-        if nxt > 1.0 + ESCAPE_PAD:
-            return "high", orbit
-        if nxt < cur - TURNBACK_PAD:
-            return "low", orbit
-        orbit.append(nxt)
-        prev, cur = cur, nxt
-    return "low", orbit
+SHOOT_EL = 1e-13  # EL residual a connection solve must reach
+SHOOT_ITERS = 100  # Newton iterations a connection solve may take
 
 
 def shoot_heteroclinic(
@@ -563,19 +551,31 @@ def shoot_heteroclinic(
     W: DoubleWell,
     symmetry: str = "node_odd",
     tol: float = 1e-7,
-    horizon: int = 1000,
+    horizon: int = MAX_K,
 ) -> LatticeProfile:
-    """Bisect the first value until the recurrence orbit lands on the well.
+    """The infinite-lattice connection, odd about a node or a bond.
 
-    The first value s is w_1 for node_odd (with w_0 = 0) and z_0 for bond_odd
-    (with z_{-1} = -z_0).  Orbits that exceed 1 + 1e-9 overshoot; orbits
-    that decrease by more than 1e-12 have turned back.  The returned
-    profile stores the orbit truncated at the first value within tol of
-    1, is odd by construction, and satisfies the recurrence to roundoff
-    on the interior of its window.
+    It is the odd box problem of solve_symmetric_node or _bond with a
+    transparent right end (see _BoxProblem): mu is the decaying root of
+    mu^2 - (2 + r^2 W''(1)) mu + 1 = 0, with W''(1) by a central difference
+    of W', and the window K = ceil(ln(8 / tol) / ln(1 / mu)) lets the tail
+    fall to about tol / 8.  One projected Newton descent from
+    tanh(ln(1 / mu) x / 2), at the distance x of each free site from the
+    centre, must reach an EL residual of SHOOT_EL max(1, r^2 W''(1)) within
+    SHOOT_ITERS iterations; the second term allows for r^2 W'(w), which
+    rounds at about r^2 W''(1) ulp(1) near the well.  K is doubled once if the last
+    site is not within tol of 1.  The returned profile ends at the first
+    value within tol of 1, is odd by construction, and satisfies the
+    recurrence to roundoff on the interior of its window.
+
+    A range whose square is not finite raises PreconditionError.  A W''(1)
+    that is not positive leaves no decaying tail and raises NoBracketError.
+    A K above horizon or MAX_K raises ConvergenceError before the window is
+    built, and so does, after it, a descent that misses its EL target or a
+    doubled window whose end is still not within tol.
     """
-    if not (r > 0.0 and math.isfinite(r)):
-        raise PreconditionError(f"range r must be positive and finite, got {r}")
+    if not (r > 0.0 and math.isfinite(r * r)):
+        raise PreconditionError(f"range r must be positive with a finite square, got {r}")
     if symmetry not in ("node_odd", "bond_odd"):
         raise PreconditionError(f"symmetry must be node_odd or bond_odd, got {symmetry!r}")
     if not (0.0 < tol < 0.1):
@@ -585,41 +585,37 @@ def shoot_heteroclinic(
     if W.dw is None:
         raise UnsupportedOperationError("shooting needs a potential with a derivative")
 
-    kind, orbit = _orbit_classify(1.0, r, W, symmetry, tol, horizon)
-    if kind == "low":
-        raise NoBracketError("s = 1 does not overshoot; no bracket in (0, 1]")
-    hi = 1.0
-    lo = 1e-8
-    if kind == "high":
-        kind, orbit = _orbit_classify(lo, r, W, symmetry, tol, horizon)
-    while kind == "high":
-        lo *= 1e-2
-        if lo < 1e-300:
-            raise NoBracketError("every s in (0, 1] overshoots; no bracket")
-        kind, orbit = _orbit_classify(lo, r, W, symmetry, tol, horizon)
-
-    # orbit is the inside value lo's until a value hits
-    while kind != "hit" and hi - lo > 1e-17:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # adjacent doubles: no representable midpoint left
-        kind, trial = _orbit_classify(mid, r, W, symmetry, tol, horizon)
-        if kind == "high":
-            hi = mid
-        else:
-            lo, orbit = mid, trial
-
-    if kind != "hit":
-        # the bracket is at roundoff width; take the inside orbit's closest pass
-        arr = np.asarray(orbit)
-        cut = int(np.argmin(np.abs(arr - 1.0)))
-        if abs(arr[cut] - 1.0) >= tol:
+    curv = (eval_dw(W, 1.0 + FD_STEP) - eval_dw(W, 1.0 - FD_STEP)) / (2.0 * FD_STEP)
+    if not curv > 0.0:
+        raise NoBracketError(f"W''(1) = {curv:.3e} is not positive; no tail decays into +1")
+    # mu = exp(-theta) with cosh(theta) = 1 + r^2 W''(1) / 2, in a form that keeps
+    # theta accurate as r -> 0
+    theta = 2.0 * math.asinh(0.5 * r * math.sqrt(curv))
+    lead = 1.0 if symmetry == "node_odd" else 0.5  # distance of the first free site
+    target = SHOOT_EL * max(1.0, r * r * curv)
+    # theta is 0 only when r * sqrt(W''(1)) underflows; no window can be long enough
+    K = max(2, math.ceil(math.log(8.0 / tol) / theta)) if theta > 0.0 else math.inf
+    for K in (K, 2 * K):
+        if K > min(horizon, MAX_K):
             raise ConvergenceError(
-                f"orbit never came within tol={tol} of the well at +1 "
-                f"(closest {abs(arr[cut] - 1.0):.3e}); raise tol or horizon"
+                f"the tail needs a window of K = {K:.6g} sites, above horizon = {horizon} "
+                f"or MAX_K = {MAX_K}; raise r, tol or horizon"
             )
-        orbit = orbit[: cut + 1]
-    return _assemble(r, orbit[1:], symmetry)
+        problem = _BoxProblem(K, r, W, symmetry, math.exp(-theta))
+        start = np.tanh(0.5 * theta * (np.arange(problem.dim) + lead))
+        z, used = _descend(problem, start, target, SHOOT_ITERS)
+        res = problem.res_scale * _projected_residual(problem.grad_curv(z)[0], z)
+        if not res <= target:
+            raise ConvergenceError(
+                f"the connection solve stopped at EL residual {res:.3e} > {target:.3e} "
+                f"after {used} iterations"
+            )
+        near = 1.0 - z < tol
+        if near[-1]:
+            return _assemble(r, z[: int(np.argmax(near)) + 1], symmetry)
+    raise ConvergenceError(
+        f"the connection ends {1.0 - z[-1]:.3e} from +1 at K = {K}, not within tol = {tol}"
+    )
 
 
 def lift_profile(p: LatticeProfile, x_offset: float, h: float) -> SampledFunction:

@@ -17,11 +17,7 @@ Built-in potentials:
 Both built-ins accept scalars or numpy arrays and give the same bits for
 a point either way.  Squares are written d * d: numpy computes `** 2` on
 an array as a multiply but on a 0-d array as libm's pow, and the two can
-round apart.  Only the pendulum's W' has a `math` branch for a float
-(numpy float64 included), with the numpy branch's formulas in the same
-order, because the shooting loop calls it once per plateau: there the
-numpy branch costs about 7.5 us a call against 0.26 us (Python 3.11,
-numpy 2.4, one core of a 2-CPU VM).
+round apart.
 """
 
 from __future__ import annotations
@@ -120,11 +116,6 @@ def _pendulum_w(q):
 
 
 def _pendulum_dw(q):
-    if isinstance(q, float):  # scalar fast path, bit-identical to the numpy branch
-        q = float(q)  # a numpy float64 returns a Python float too
-        if abs(q) <= 1.0:
-            return -math.sin(math.pi * q)
-        return math.pi * math.copysign(1.0, q) * (abs(q) - 1.0)
     q = np.asarray(q, dtype=float)
     aq = np.abs(q)
     inside = -np.sin(np.pi * q)

@@ -287,11 +287,11 @@ def off_centre_steps(d: int) -> tuple:
     return tuple(np.where(q <= edge, -1.0, 1.0) for edge in (0.25, 0.75))
 
 
-def aligned_error_sweep(W, r: float, horizon: int = 2000) -> float:
+def aligned_error_sweep(W, r: float) -> float:
     """Oracle for convergence_study's err_aligned: the sup error at the
     plateau midpoints minimized over 65 sub-plateau shifts tau in [-r, r]."""
     classical = _cached_profile(W)
-    prof = shoot_heteroclinic(r, W, symmetry="node_odd", tol=1e-7, horizon=horizon)
+    prof = shoot_heteroclinic(r, W, symmetry="node_odd", tol=1e-7)
     ns = np.arange(prof.n_min, prof.n_max + 1)
     mids = (2.0 * ns + 1.0) * r
     w = prof.values

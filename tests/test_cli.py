@@ -107,6 +107,13 @@ def test_large_pendulum_window_converges(capsys):
     assert doc["el_residual"] <= 1e-10
 
 
+def test_shoot_needs_no_horizon_for_a_fine_range(capsys):
+    # the quartic connection at r = 0.01 spans about 12.9 / r plateaus a side
+    code, doc = run_json(capsys, ["shoot", "--r", "0.01"])
+    assert code == 0
+    assert doc["K"] > 1000
+
+
 def test_shoot_report(capsys):
     code, doc = run_json(capsys, ["shoot", "--r", "0.5", "--symmetry", "node"])
     assert code == 0
@@ -246,6 +253,9 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
         cfg.write_text(f"{key} = 9\n")
         assert run(argv + ["--config", str(cfg)]) == 2
         assert run(argv + [f"--{key}", "9"]) == 2
+    # the study's window follows from r and W, so it takes no horizon
+    cfg.write_text("horizon = 100\n")
+    assert run(["converge-study", "--r-list", "0.4,0.2", "--config", str(cfg)]) == 2
 
 
 def test_config_rejects_bad_values(tmp_path, capsys):

@@ -472,38 +472,87 @@ def test_shooting_without_overshoot_reports_no_bracket():
         shoot_heteroclinic(0.5, W)
 
 
-def test_shooting_with_unreachable_tol_terminates():
-    # no orbit passes within 1e-30 of the well, so the seed bracket
-    # collapses to adjacent doubles; the bisection must stop there and
-    # report the closest approach instead of spinning on a midpoint
-    # that rounds back onto an endpoint
+# W''(1) of each built-in well, for the oracle's start
+WELL_CURVATURE = {"quartic": 2.0, "pendulum": math.pi}
+
+
+@pytest.mark.parametrize("name", WELLS)
+@pytest.mark.parametrize("symmetry", ["node_odd", "bond_odd"])
+@pytest.mark.parametrize("r", [0.5, 0.1, 0.02, 0.005])
+def test_shot_agrees_with_a_long_pinned_window(name, symmetry, r):
+    # the oracle pins w = 1 half again as far out as the shot reaches, so its
+    # end perturbs the core by far less than 1e-11
+    W = WELLS[name]
+    shot = shoot_heteroclinic(r, W, symmetry)
+    problem = heteroclinic._BoxProblem(math.ceil(1.5 * shot.n_max) + 2, r, W, symmetry)
+    theta = 2.0 * math.asinh(0.5 * r * math.sqrt(WELL_CURVATURE[name]))
+    lead = 1.0 if symmetry == "node_odd" else 0.5
+    start = np.tanh(0.5 * theta * (np.arange(problem.dim) + lead))
+    z, _ = heteroclinic._descend(problem, start, 1e-15, 2000)
+    pinned = problem.profile(z)
+    core = np.abs(shot.values) < 0.99
+    ns = np.arange(shot.n_min, shot.n_max + 1)[core]
+    gap = np.abs(shot.values[core] - pinned.values_range(ns[0], ns[-1]))
+    assert np.max(gap) <= 1e-11
+
+
+def test_shot_refuses_an_unreachable_window_before_building_it(monkeypatch):
+    def built(*args):
+        raise AssertionError("the window was built")
+
+    monkeypatch.setattr(heteroclinic, "_BoxProblem", built)
+    # r = 1e-4 needs more than MAX_K sites for either well
+    for W in WELLS.values():
+        with pytest.raises(ConvergenceError, match="MAX_K"):
+            shoot_heteroclinic(1e-4, W)
+    # W''(1) = 0: the tail decays like 1 / n, not geometrically, and no
+    # window the solver accepts reaches the well
+    W = custom(lambda t: (1 - t * t) ** 4 / 4, lambda t: -2.0 * t * (1 - t * t) ** 3)
+    with pytest.raises((ConvergenceError, NoBracketError)):
+        shoot_heteroclinic(0.5, W)
+
+
+def test_shot_at_a_coarse_range_reaches_a_target_scaled_by_r_squared():
+    # near the well r^2 W'(w) rounds at about r^2 W''(1) ulp(1), so a fixed
+    # EL target of 1e-13 is out of reach from about r = 20 on
+    for r in (20.0, 50.0, 100.0, 1e100):
+        for name, W in WELLS.items():
+            for symmetry in ("node_odd", "bond_odd"):
+                prof = shoot_heteroclinic(r, W, symmetry)
+                assert el_residual(prof, W) <= 1e-13 * r * r * WELL_CURVATURE[name]
+                assert prof.values[-1] > 1.0 - 1e-7
+    # a range whose square overflows has no lattice energy to minimize
+    with pytest.raises(PreconditionError):
+        shoot_heteroclinic(1e300, quartic())
+
+
+@pytest.mark.parametrize("name", WELLS)
+@pytest.mark.parametrize("symmetry", ["node_odd", "bond_odd"])
+def test_shot_scales_exactly_with_r_and_the_well(name, symmetry):
+    # (r / 2, 4 W) has the same recurrence, window, start and EL target
+    for r in (40.0, 2.0, 0.5, 0.1, 0.02):
+        shot = shoot_heteroclinic(r, WELLS[name], symmetry)
+        scaled = shoot_heteroclinic(r / 2, FOUR_WELLS[name], symmetry)
+        assert scaled.n_max == shot.n_max
+        assert np.array_equal(scaled.values, shot.values)
+
+
+def test_shot_window_is_capped_by_horizon():
     W = quartic()
+    K = shoot_heteroclinic(0.1, W).n_max
+    with pytest.raises(ConvergenceError, match="horizon"):
+        shoot_heteroclinic(0.1, W, horizon=K // 2)
+
+
+def test_shot_that_misses_the_el_target_raises(monkeypatch):
+    # a W' that is not the slope of W leaves the descent no stationary minimum
+    W = custom(lambda t: (1 - t * t) ** 2 / 4, lambda t: 1.05 * (t**3 - t))
+    with pytest.raises(ConvergenceError, match="EL residual"):
+        shoot_heteroclinic(0.5, W)
+    monkeypatch.setattr(heteroclinic, "SHOOT_ITERS", 1)
     for symmetry in ("node_odd", "bond_odd"):
-        with pytest.raises(ConvergenceError, match="closest"):
-            shoot_heteroclinic(0.5, W, symmetry, tol=1e-30)
-
-
-def test_shooting_classifies_each_seed_once(monkeypatch):
-    # the bisection keeps the orbit of its inside seed; integrating a seed
-    # twice, as a final pass over the bracket's inside end would, is waste
-    real = heteroclinic._orbit_classify
-    seeds = []
-
-    def counted(s, *args):
-        seeds.append(s)
-        return real(s, *args)
-
-    monkeypatch.setattr(heteroclinic, "_orbit_classify", counted)
-    W = quartic()
-    for symmetry in ("node_odd", "bond_odd"):
-        seeds.clear()
-        shoot_heteroclinic(0.5, W, symmetry)
-        assert len(seeds) == len(set(seeds)) > 2
-        seeds.clear()
-        # no orbit comes within 1e-30, so the bisection runs down to roundoff
-        with pytest.raises(ConvergenceError, match="closest"):
-            shoot_heteroclinic(0.5, W, symmetry, tol=1e-30)
-        assert len(seeds) == len(set(seeds)) > 2
+        with pytest.raises(ConvergenceError, match="EL residual"):
+            shoot_heteroclinic(0.5, pendulum(), symmetry)
 
 
 # ---------------------------------------------------------------------------

@@ -139,9 +139,9 @@ BRANCH_EDGES = [
 @given(ts=st.lists(st.floats(-3, 3), min_size=1, max_size=30))
 @example(ts=BRANCH_EDGES)
 def test_array_evaluation_matches_scalar(factory, ts):
-    # exact equality on purpose: a float takes the math branch of the
-    # pendulum's W' and an array the numpy branch, and the two must agree
-    # bit for bit on this platform's libm
+    # exact equality on purpose: scalars, 0-d arrays and arrays run the same
+    # numpy formulas, and a built-in well must give the same bits for a point
+    # whichever way it arrives
     W = factory()
     arr = eval_w_array(W, np.array(ts))
     darr = eval_dw_array(W, np.array(ts))
