@@ -31,12 +31,13 @@ profile.  All three are one box problem whose Hessian is tridiagonal,
 (s/r^2) tridiag(-1, 2, -1) + s diag(W''), and they share one projected
 Newton method (Bertsekas 1982): a Thomas solve on the free sites, a
 Levenberg shift where W'' < 0 makes that block indefinite, and an Armijo
-search along the projection arc.  It descends from two deterministic
-starts, the ramp and the step at the centre of the window, then from any
-extra_starts, one start after another.  A start stops when its EL
-residual reaches tol, when no step is acceptable, or when the iteration
-budget runs out.  Steps off the centre are translates of the kink, which
-only creep back along its tiny lattice barrier, so they are not tried.
+search along the projection arc.  It descends from the kink of the
+recurrence linearized at the well (_BoxProblem.kink), for a plain window
+also from the kink half a site on, so that one sits on a site and one on
+a bond, then from any extra_starts, one start after another.  A start
+stops when its EL residual reaches tol, when no step is acceptable, or
+when the budget runs out.  A kink started off its place only creeps back
+along its lattice barrier (Peyrard & Kruskal, Physica D 1984).
 The search stays in the monotone cone, where the minimizers lie: sorting
 the free values (for the odd symmetries, sorting their odd extension)
 never raises the energy, so each start, and each iterate that leaves the
@@ -179,12 +180,12 @@ class SolverOptions:
     """Knobs for the projected Newton minimizer.
 
     tol bounds the EL residual of a converged start and max_iters the Newton
-    iterations summed over all starts.  The starts are the ramp and the step
-    at the centre of the window, then extra_starts (a user's own random
-    starts go there), each rearranged into the monotone cone, duplicates
-    dropped.  They descend one after another, each with the budget that the
-    earlier ones left.  A start stops at tol, when no step is acceptable, or
-    when the budget runs out.  A tol that is not positive and finite or a
+    iterations summed over all starts.  The starts are the linearized kink
+    (see _BoxProblem.starts), then extra_starts (a user's own random starts
+    go there), each rearranged into the monotone cone, duplicates dropped.
+    They descend one after another, each with the budget that the earlier
+    ones left.  A start stops at tol, when no step is acceptable, or when
+    the budget runs out.  A tol that is not positive and finite or a
     max_iters that is not an integer raises PreconditionError; a max_iters
     below 1 raises ConvergenceError.
     """
@@ -349,20 +350,26 @@ class _BoxProblem:
     def profile(self, z: np.ndarray) -> LatticeProfile:
         return _assemble(self.r, np.append(z, 1.0), self.symmetry)
 
-    def ramp_start(self) -> np.ndarray:
-        """Linear from the left anchor (half a site left of z_0 for bond_odd) to +1."""
-        lead = 1.0 - 0.5 * (self.lam - 1.0)
-        return self.a + (1.0 - self.a) * (np.arange(self.dim) + lead) / (self.dim + lead)
+    def kink(self, theta: float, shift: float) -> np.ndarray:
+        """tanh(theta (x - shift) / 2) at each free site's distance x from the
+        node (1 for z_0) or the bond (1/2) of an odd symmetry, or from the
+        middle of a plain window."""
+        x = np.arange(self.dim) + (1.0 - 0.5 * (self.lam - 1.0))
+        if self.mirror is None:
+            x -= 0.5 * (self.dim + 1)
+        return np.tanh(0.5 * theta * (x - shift))
 
     def starts(self, opts: SolverOptions) -> list:
-        """The ramp, the step at the centre of the window, then extra_starts.
+        """The kink at the rate of _kink_rate (for a plain window also half a
+        site on), then extra_starts.
 
         Each is clipped into the box and moved into the monotone cone, and
         exact duplicates are dropped.  An extra start of the wrong shape or
         with a NaN raises PreconditionError.
         """
         d = self.dim
-        pool = [self.ramp_start(), np.where((np.arange(d) + 0.5) / d <= 0.5, -1.0, 1.0)]
+        theta = _kink_rate(self.r, self.W)[1]
+        pool = [self.kink(theta, q) for q in ((0.0, 0.5) if self.mirror is None else (0.0,))]
         for extra in opts.extra_starts:
             arr = np.asarray(extra, dtype=float)
             if arr.shape != (d,):
@@ -380,6 +387,14 @@ class _BoxProblem:
                 z = moved[0]
             unique.setdefault(tuple(z.tolist()), z)
         return list(unique.values())
+
+
+def _kink_rate(r: float, W: DoubleWell):
+    """W''(1) by a central difference of W', and the decay rate theta of the
+    recurrence linearized at the well, cosh(theta) = 1 + r^2 W''(1) / 2, in a
+    form that stays accurate as r -> 0; theta is 0 when W''(1) <= 0."""
+    curv = (eval_dw(W, 1.0 + FD_STEP) - eval_dw(W, 1.0 - FD_STEP)) / (2.0 * FD_STEP)
+    return curv, (2.0 * math.asinh(0.5 * r * math.sqrt(curv)) if curv > 0.0 else 0.0)
 
 
 def _projected_residual(g: np.ndarray, z: np.ndarray) -> float:
@@ -482,17 +497,13 @@ def _minimize(problem: _BoxProblem, opts: SolverOptions) -> SolveReport:
         z, n = _descend(problem, start, opts.tol, opts.max_iters - used)
         used += n
         prof = problem.profile(z)
-        res = el_residual(prof, problem.W)
         val = discrete_energy(prof, problem.W, prof.n_min, problem.K)
-        candidates.append((round(val * 1e12), res > opts.tol, tuple(z), val, res, prof))
-    _, _, _, val, res, prof = min(candidates, key=lambda c: c[:3])
-    return SolveReport(
-        minimizer=prof,
-        value=val,
-        el_residual=res,
-        iterations=used,
-        converged=res <= opts.tol,
-    )
+        candidates.append((val, el_residual(prof, problem.W), prof))
+    # a relative band around the lowest value, so that (r / 2, 4 W) picks the same start
+    low = min(candidates, key=lambda c: c[0])
+    near = [c for c in candidates if c[0] - low[0] <= 1e-12 * abs(low[0]) and c[1] <= opts.tol]
+    val, res, prof = near[0] if near else low
+    return SolveReport(prof, val, res, used, converged=res <= opts.tol)
 
 
 def _solve(K: int, r: float, W: DoubleWell, opts: Optional[SolverOptions], symmetry: str):
@@ -500,8 +511,8 @@ def _solve(K: int, r: float, W: DoubleWell, opts: Optional[SolverOptions], symme
     # the comparisons come first, so inf and NaN fail them before int() sees them
     if not (k_min <= K <= MAX_K and int(K) == K):
         raise PreconditionError(f"K must be an integer in [{k_min}, {MAX_K}], got {K}")
-    if not (r > 0.0 and math.isfinite(r)):
-        raise PreconditionError(f"range r must be positive and finite, got {r}")
+    if not (r > 0.0 and math.isfinite(r * r)):
+        raise PreconditionError(f"range r must be positive with a finite square, got {r}")
     opts = opts or SolverOptions()
     if not (opts.tol > 0.0 and math.isfinite(opts.tol)):
         raise PreconditionError(f"tol must be positive and finite, got {opts.tol}")
@@ -559,14 +570,14 @@ def shoot_heteroclinic(
     transparent right end (see _BoxProblem): mu is the decaying root of
     mu^2 - (2 + r^2 W''(1)) mu + 1 = 0, with W''(1) by a central difference
     of W', and the window K = ceil(ln(8 / tol) / ln(1 / mu)) lets the tail
-    fall to about tol / 8.  One projected Newton descent from
-    tanh(ln(1 / mu) x / 2), at the distance x of each free site from the
-    centre, must reach an EL residual of SHOOT_EL max(1, r^2 W''(1)) within
-    SHOOT_ITERS iterations; the second term allows for r^2 W'(w), which
-    rounds at about r^2 W''(1) ulp(1) near the well.  K is doubled once if the last
-    site is not within tol of 1.  The returned profile ends at the first
-    value within tol of 1, is odd by construction, and satisfies the
-    recurrence to roundoff on the interior of its window.
+    fall to about tol / 8.  One projected Newton descent from the kink at
+    rate ln(1 / mu) (_BoxProblem.kink) must reach an EL residual of
+    SHOOT_EL max(1, r^2 W''(1)) within SHOOT_ITERS iterations; the second
+    term allows for r^2 W'(w), which rounds at about r^2 W''(1) ulp(1) near
+    the well.  K is doubled once if the last site is not within tol of 1.
+    The returned profile ends at the first value within tol of 1, is odd by
+    construction, and satisfies the recurrence to roundoff on the interior
+    of its window.
 
     A range whose square is not finite raises PreconditionError.  A W''(1)
     that is not positive leaves no decaying tail and raises NoBracketError.
@@ -585,13 +596,9 @@ def shoot_heteroclinic(
     if W.dw is None:
         raise UnsupportedOperationError("shooting needs a potential with a derivative")
 
-    curv = (eval_dw(W, 1.0 + FD_STEP) - eval_dw(W, 1.0 - FD_STEP)) / (2.0 * FD_STEP)
+    curv, theta = _kink_rate(r, W)
     if not curv > 0.0:
         raise NoBracketError(f"W''(1) = {curv:.3e} is not positive; no tail decays into +1")
-    # mu = exp(-theta) with cosh(theta) = 1 + r^2 W''(1) / 2, in a form that keeps
-    # theta accurate as r -> 0
-    theta = 2.0 * math.asinh(0.5 * r * math.sqrt(curv))
-    lead = 1.0 if symmetry == "node_odd" else 0.5  # distance of the first free site
     target = SHOOT_EL * max(1.0, r * r * curv)
     # theta is 0 only when r * sqrt(W''(1)) underflows; no window can be long enough
     K = max(2, math.ceil(math.log(8.0 / tol) / theta)) if theta > 0.0 else math.inf
@@ -602,8 +609,7 @@ def shoot_heteroclinic(
                 f"or MAX_K = {MAX_K}; raise r, tol or horizon"
             )
         problem = _BoxProblem(K, r, W, symmetry, math.exp(-theta))
-        start = np.tanh(0.5 * theta * (np.arange(problem.dim) + lead))
-        z, used = _descend(problem, start, target, SHOOT_ITERS)
+        z, used = _descend(problem, problem.kink(theta, 0.0), target, SHOOT_ITERS)
         res = problem.res_scale * _projected_residual(problem.grad_curv(z)[0], z)
         if not res <= target:
             raise ConvergenceError(

@@ -117,10 +117,10 @@ def _pendulum_w(q):
 
 def _pendulum_dw(q):
     q = np.asarray(q, dtype=float)
-    aq = np.abs(q)
-    inside = -np.sin(np.pi * q)
-    outside = np.pi * np.sign(q) * (aq - 1.0)
-    out = np.where(aq <= 1.0, inside, outside)
+    # -sin(pi q) = sign(q) sin(pi d) with d = |q| - 1: exactly 0 at the wells,
+    # where sin(pi q) rounds to 1.2e-16, and d is exact next to them (Sterbenz)
+    d = np.abs(q) - 1.0
+    out = np.sign(q) * np.where(d > 0.0, np.pi * d, np.sin(np.pi * d))
     return out if out.ndim else float(out)
 
 

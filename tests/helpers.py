@@ -1,5 +1,8 @@
 """Shared generators and independent oracles for the nonlocal Dirichlet tests."""
 
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 
 from oschet.asymptotics import _cached_profile
@@ -273,18 +276,52 @@ def detect_jumps_loop(samples: SampledFunction, a: float, b: float):
 
 def sorted_uniform_starts(rng: np.random.Generator, n: int, d: int) -> tuple:
     """Oracle starts for the lattice minimizer: n rows of d sorted uniform
-    draws on [-1, 1], to be passed as SolverOptions.extra_starts.  Together
-    with the two default starts and the two off_centre_steps, 96 rows make
-    a 100-start pool."""
+    draws on [-1, 1], to be passed as SolverOptions.extra_starts.  With the
+    default kink starts (two in a plain window, one in an odd one) and the
+    two off_centre_steps, 96 rows make a pool of 99 or 100 starts."""
     return tuple(np.sort(rng.uniform(-1.0, 1.0, d)) for _ in range(n))
 
 
 def off_centre_steps(d: int) -> tuple:
     """Oracle starts for the lattice minimizer: the steps from -1 to +1 at a
     quarter and at three quarters of d free sites, to be passed as
-    SolverOptions.extra_starts.  The minimizer tries only the centred step."""
+    SolverOptions.extra_starts.  The minimizer starts from the kink at the
+    window's centre instead."""
     q = (np.arange(d) + 0.5) / d
     return tuple(np.where(q <= edge, -1.0, 1.0) for edge in (0.25, 0.75))
+
+
+def ramp_and_centred_step(K: int, symmetry: str) -> tuple:
+    """Oracle starts for the lattice minimizer, the two default starts that
+    the kink replaced, to be passed as SolverOptions.extra_starts: the ramp,
+    linear in the free sites from the left anchor to +1, and the step from
+    -1 to +1 at the centre of the free sites.
+
+    The anchor is w_0 = -1 for none and w_0 = 0 for node_odd, one site left
+    of the first free site, and 0 at the bond half a site left of it for
+    bond_odd.
+    """
+    d = K - (symmetry != "none")
+    anchor = -1.0 if symmetry == "none" else 0.0
+    lead = 0.5 if symmetry == "bond_odd" else 1.0
+    ramp = anchor + (1.0 - anchor) * (np.arange(d) + lead) / (d + lead)
+    return ramp, np.where((np.arange(d) + 0.5) / d <= 0.5, -1.0, 1.0)
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Fail with TimeoutError after seconds instead of hanging (SIGALRM)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def aligned_error_sweep(W, r: float) -> float:

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import forbid_large_arange
+from helpers import forbid_large_arange, time_limit
 from oschet.cli import run
 
 
@@ -96,6 +96,12 @@ def test_unconverged_solve_exits_three_but_reports(capsys):
 def test_solve_rejects_bad_solver_options(capsys, flags):
     assert run(["solve-heteroclinic", "--K", "4", "--r", "0.5"] + flags) == 2
     assert "must be" in capsys.readouterr().err
+
+
+def test_solve_refuses_a_range_whose_square_overflows(capsys):
+    with time_limit(10):
+        assert run(["solve-heteroclinic", "--K", "3", "--r", "1e160"]) == 2
+    assert "finite square" in capsys.readouterr().err
 
 
 def test_large_pendulum_window_converges(capsys):

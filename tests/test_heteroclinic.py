@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import forbid_large_arange, off_centre_steps, sorted_uniform_starts
+from helpers import (
+    forbid_large_arange,
+    off_centre_steps,
+    ramp_and_centred_step,
+    sorted_uniform_starts,
+    time_limit,
+)
 from oschet import heteroclinic
 from oschet.errors import (
     ConvergenceError,
@@ -33,6 +39,11 @@ from oschet.potential import custom, eval_w, eval_w_array, pendulum, quartic
 from oschet.sampled import SampledFunction, energy_E, energy_F
 
 WELLS = {"quartic": quartic(), "pendulum": pendulum()}
+SOLVERS = {
+    "none": solve_discrete_dirichlet,
+    "node_odd": solve_symmetric_node,
+    "bond_odd": solve_symmetric_bond,
+}
 # each well times 4: (r / 2, 4 W) scales every term of the lattice energy by 4
 FOUR_WELLS = {
     name: custom(lambda t, W=W: 4.0 * W.w(t), lambda t, W=W: 4.0 * W.dw(t))
@@ -104,9 +115,9 @@ def test_three_site_matches_dynamic_programming(r):
 
 def test_default_multistart_is_globally_stable():
     # (well, solver, K, r, rng seed): the first two are the original 100-start
-    # pools; the last two are plain windows where the ramp start alone loses.
-    # The pool is the two default starts, the two off-centre steps and 96
-    # sorted random rows.
+    # pools; the last two are plain windows where the ramp, a default start
+    # before the kink, alone lost.  The pool is the default kink starts, the
+    # two off-centre steps and 96 sorted random rows.
     cases = [
         ("quartic", solve_discrete_dirichlet, 8, 0.5, 321),
         ("quartic", solve_symmetric_bond, 6, 0.5, 77),
@@ -132,9 +143,9 @@ def test_default_multistart_is_globally_stable():
 def test_off_centre_steps_never_find_a_lower_value(data):
     # in a plain window the steps at a quarter and three quarters are
     # translates of the kink; the default starts must reach their value.
-    # The budget caps a draw where a start creeps (quartic plain K = 19,
-    # r = 1.1276 and K = 37, r = 1.1469 take about 12,000 iterations); the
-    # default starts run first with the same budget in both solves.
+    # The budget caps a draw where a start creeps along the kink's lattice
+    # barrier; the default starts run first with the same budget in both
+    # solves.
     W = WELLS[data.draw(st.sampled_from(sorted(WELLS)))]
     K = data.draw(st.integers(1, 48))
     r = data.draw(st.floats(0.05, 5.0))
@@ -142,6 +153,22 @@ def test_off_centre_steps_never_find_a_lower_value(data):
     oracle = solve_discrete_dirichlet(
         K, r, W, SolverOptions(max_iters=1000, extra_starts=off_centre_steps(K))
     )
+    assert base.value <= oracle.value + 1e-12 * abs(oracle.value)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_ramp_and_centred_step_never_find_a_lower_value(data):
+    # the kink replaced the ramp and the centred step as default starts;
+    # they stay as an oracle, run after the kink with the same capped budget
+    W = WELLS[data.draw(st.sampled_from(sorted(WELLS)))]
+    symmetry = data.draw(st.sampled_from(sorted(SOLVERS)))
+    K = data.draw(st.integers(1 + (symmetry != "none"), 48))
+    r = data.draw(st.floats(0.05, 5.0))
+    solve = SOLVERS[symmetry]
+    base = solve(K, r, W, SolverOptions(max_iters=1000))
+    extra = ramp_and_centred_step(K, symmetry)
+    oracle = solve(K, r, W, SolverOptions(max_iters=1000, extra_starts=extra))
     assert base.value <= oracle.value + 1e-12 * abs(oracle.value)
 
 
@@ -230,6 +257,23 @@ def test_plain_window_converges_in_few_newton_iterations():
         assert report.converged and report.iterations <= most, (K, r, report.iterations)
 
 
+@pytest.mark.parametrize(
+    "symmetry, K, r, name, most",
+    [
+        # the ramp crept along the kink's lattice barrier for over 12,000 iterations
+        ("none", 19, 1.1275717139185464, "quartic", 100),
+        ("none", 37, 1.1469200642252402, "quartic", 100),
+        # W'(1) rounding to -1.2e-16 freed one site per iteration: 776 iterations
+        ("node_odd", 488, 0.02, "pendulum", 20),
+        # the kink creeps here unless W' is exactly 0 at the wells
+        ("none", 55, 0.7328400813020374, "pendulum", 200),
+    ],
+)
+def test_kink_starts_converge_without_creeping(symmetry, K, r, name, most):
+    report = SOLVERS[symmetry](K, r, WELLS[name], SolverOptions(max_iters=1000))
+    assert report.converged and report.iterations <= most, report.iterations
+
+
 def test_start_with_indefinite_hessian_reaches_the_minimum():
     W = quartic()
     r = 2.0
@@ -252,7 +296,7 @@ def test_large_window_still_converges():
     assert report.el_residual <= 1e-10
     # the connection fits well inside the window: doubling it changes nothing
     assert abs(report.value - solve_symmetric_node(64, 0.25, W).value) < 1e-10
-    # multi-kink starts rearranged into the monotone cone do not creep
+    # the kink starts at the node and at the bond do not creep
     assert report.iterations <= 200
     bond = solve_symmetric_bond(96, 0.25, W)
     assert bond.converged
@@ -278,7 +322,7 @@ def test_iteration_budget_bounds_the_summed_iterations():
         for budget in range(1, 21):
             report = solve(12, 0.5, W, SolverOptions(max_iters=budget))
             assert report.iterations <= budget
-    # the starts run one after another, so the ramp alone may spend the budget
+    # the starts run one after another, so the first kink alone may spend the budget
     assert solve_discrete_dirichlet(12, 0.5, W, SolverOptions(max_iters=5)).converged
 
 
@@ -302,6 +346,23 @@ def test_descent_scales_exactly_with_r_and_the_well(data):
         z4, used4 = heteroclinic._descend(scaled, start, opts.tol, 500)
         assert z4.tobytes() == z.tobytes() and used4 == used
         assert scaled.objective(z4) == 4.0 * problem.objective(z)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_solvers_scale_exactly_with_r_and_the_well(data):
+    # the public solvers on (K, r / 2, 4 W): the same descents, and a choice of
+    # start that compares values relatively, so the same winner
+    name = data.draw(st.sampled_from(sorted(WELLS)))
+    solve = SOLVERS[data.draw(st.sampled_from(sorted(SOLVERS)))]
+    K = data.draw(st.integers(2, 40))
+    r = data.draw(st.floats(0.05, 2.0))
+    opts = SolverOptions(max_iters=1000)
+    base = solve(K, r, WELLS[name], opts)
+    scaled = solve(K, r / 2, FOUR_WELLS[name], opts)
+    assert scaled.minimizer.values.tobytes() == base.minimizer.values.tobytes()
+    assert scaled.iterations == base.iterations
+    assert scaled.value == 4.0 * base.value
 
 
 @given(data=st.data())
@@ -331,7 +392,7 @@ def test_solver_rejects_bad_arguments(monkeypatch):
     with pytest.raises(UnsupportedOperationError):
         solve_discrete_dirichlet(4, 0.5, custom(lambda t: (1 - t * t) ** 2 / 4))
     for solve in (solve_discrete_dirichlet, solve_symmetric_node, solve_symmetric_bond):
-        # an infinite tol would pass the untouched ramp start as converged
+        # an infinite tol would pass the untouched kink start as converged
         for tol in (math.inf, math.nan, 0.0, -1e-10):
             with pytest.raises(PreconditionError, match="tol must be"):
                 solve(4, 0.5, W, SolverOptions(tol=tol))
@@ -357,6 +418,14 @@ def test_window_size_is_capped_before_allocating(monkeypatch):
                 solve(K, 0.5, W)
         with pytest.raises(PreconditionError, match="K must be"):
             solve(heteroclinic.MAX_K + 1, 0.5, W)
+
+
+def test_a_range_whose_square_overflows_is_refused_without_hanging():
+    # s / r^2 underflows to 0 there, and a Levenberg shift of 0 never grows
+    with time_limit(10):
+        for solve in (solve_discrete_dirichlet, solve_symmetric_node):
+            with pytest.raises(PreconditionError, match="finite square"):
+                solve(3, 1e160, pendulum())
 
 
 def test_extra_start_shape_is_checked():

@@ -95,6 +95,18 @@ def test_pendulum_values():
     assert abs(eval_dw(W, -2.0) + math.pi) < 1e-12
 
 
+def test_pendulum_slope_is_exactly_zero_at_the_wells_and_the_top():
+    # sin(pi q) rounds to 1.2e-16 at q = +-1; a site clipped to a well must
+    # see a zero gradient there, or the minimizer frees one site at a time
+    W = pendulum()
+    points = np.array([-1.0, 0.0, 1.0])
+    assert np.all(potential._pendulum_dw(points) == 0.0)
+    assert np.all(eval_dw_array(W, points) == 0.0)
+    for q in points:
+        assert potential._pendulum_dw(q) == 0.0
+        assert eval_dw(W, q) == 0.0
+
+
 def test_pendulum_no_cancellation_near_wells():
     # (1 + cos(pi q)) underflows to exact zero within ~1e-8 of the wells;
     # the evaluation must stay positive there so 1/sqrt(W) is usable.
