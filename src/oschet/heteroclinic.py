@@ -34,15 +34,15 @@ Levenberg shift where W'' < 0 makes that block indefinite, and an Armijo
 search along the projection arc.  It descends from the kink of the
 recurrence linearized at the well (_BoxProblem.kink), for a plain window
 also from the kink half a site on, so that one sits on a site and one on
-a bond, then from any extra_starts, one start after another.  A start
-stops when its EL residual reaches tol, when no step is acceptable, or
-when the budget runs out.  A kink started off its place only creeps back
-along its lattice barrier (Peyrard & Kruskal, Physica D 1984).
-The search stays in the monotone cone, where the minimizers lie: sorting
-the free values (for the odd symmetries, sorting their odd extension)
-never raises the energy, so each start, and each iterate that leaves the
-cone, is replaced by its rearrangement when that does not raise its
-objective.
+a bond, one start after another.  A start stops when its EL residual
+reaches tol, when no step is acceptable, or when the budget runs out.  A
+kink started off its place only creeps back along its lattice barrier
+(Peyrard & Kruskal, Physica D 1984).
+The search stays in the monotone cone, where the minimizers lie: the
+kinks are monotone, and sorting the free values (for the odd symmetries,
+sorting their odd extension) never raises the energy, so each iterate
+that leaves the cone is replaced by its rearrangement when that does not
+raise its objective.
 
 shoot_heteroclinic takes the infinite-lattice connection from the same
 box problem, odd about a node or a bond, with its pinned end replaced by
@@ -55,8 +55,9 @@ from r and W''(1) alone.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -180,19 +181,16 @@ class SolverOptions:
     """Knobs for the projected Newton minimizer.
 
     tol bounds the EL residual of a converged start and max_iters the Newton
-    iterations summed over all starts.  The starts are the linearized kink
-    (see _BoxProblem.starts), then extra_starts (a user's own random starts
-    go there), each rearranged into the monotone cone, duplicates dropped.
-    They descend one after another, each with the budget that the earlier
-    ones left.  A start stops at tol, when no step is acceptable, or when
-    the budget runs out.  A tol that is not positive and finite or a
-    max_iters that is not an integer raises PreconditionError; a max_iters
-    below 1 raises ConvergenceError.
+    iterations summed over all starts.  The starts are the linearized kinks
+    of _BoxProblem.starts; they descend one after another, each with the
+    budget that the earlier ones left.  A start stops at tol, when no step
+    is acceptable, or when the budget runs out.  A tol that is not positive
+    and finite or a max_iters that is not an integer raises
+    PreconditionError; a max_iters below 1 raises ConvergenceError.
     """
 
     tol: float = 1e-10
     max_iters: int = 100_000
-    extra_starts: Tuple = ()
 
 
 @dataclass(eq=False)
@@ -359,34 +357,12 @@ class _BoxProblem:
             x -= 0.5 * (self.dim + 1)
         return np.tanh(0.5 * theta * (x - shift))
 
-    def starts(self, opts: SolverOptions) -> list:
-        """The kink at the rate of _kink_rate (for a plain window also half a
-        site on), then extra_starts.
-
-        Each is clipped into the box and moved into the monotone cone, and
-        exact duplicates are dropped.  An extra start of the wrong shape or
-        with a NaN raises PreconditionError.
-        """
-        d = self.dim
+    def starts(self) -> list:
+        """The kink at the rate of _kink_rate, for a plain window also half a
+        site on; one kink when that rate is 0, since both would be all zeros."""
         theta = _kink_rate(self.r, self.W)[1]
-        pool = [self.kink(theta, q) for q in ((0.0, 0.5) if self.mirror is None else (0.0,))]
-        for extra in opts.extra_starts:
-            arr = np.asarray(extra, dtype=float)
-            if arr.shape != (d,):
-                raise PreconditionError(
-                    f"extra start has shape {arr.shape}, expected ({d},)"
-                )
-            if np.isnan(arr).any():
-                raise PreconditionError("extra start has a NaN value")
-            pool.append(arr)
-        unique = {}
-        for z in pool:
-            z = np.clip(z, -1.0, 1.0)
-            moved = self.into_cone(z, self.objective(z))
-            if moved is not None:
-                z = moved[0]
-            unique.setdefault(tuple(z.tolist()), z)
-        return list(unique.values())
+        shifts = (0.0, 0.5) if self.mirror is None and theta > 0.0 else (0.0,)
+        return [self.kink(theta, q) for q in shifts]
 
 
 def _kink_rate(r: float, W: DoubleWell):
@@ -493,7 +469,7 @@ def _minimize(problem: _BoxProblem, opts: SolverOptions) -> SolveReport:
         raise ConvergenceError("iteration budget exhausted before any start ran")
     used = 0
     candidates = []
-    for start in problem.starts(opts):
+    for start in problem.starts():
         z, n = _descend(problem, start, opts.tol, opts.max_iters - used)
         used += n
         prof = problem.profile(z)
@@ -506,13 +482,24 @@ def _minimize(problem: _BoxProblem, opts: SolverOptions) -> SolveReport:
     return SolveReport(prof, val, res, used, converged=res <= opts.tol)
 
 
+def _check_range(r: float) -> None:
+    """PreconditionError unless r is positive with a finite square of at
+    least 8 MAX_K / DBL_MAX, about 4.4e-303: the box problem divides by r^2,
+    and its objective, gradient and Thomas sweeps sum up to MAX_K terms of at
+    most 8 / r^2 each, which must stay finite."""
+    least = 8.0 * MAX_K / sys.float_info.max
+    if not (r > 0.0 and least <= float(r) * float(r) < math.inf):
+        raise PreconditionError(
+            f"range r must be positive with a finite square of at least {least:.3g}, got {r}"
+        )
+
+
 def _solve(K: int, r: float, W: DoubleWell, opts: Optional[SolverOptions], symmetry: str):
     k_min = 1 + _FLAVORS[symmetry][0]
     # the comparisons come first, so inf and NaN fail them before int() sees them
     if not (k_min <= K <= MAX_K and int(K) == K):
         raise PreconditionError(f"K must be an integer in [{k_min}, {MAX_K}], got {K}")
-    if not (r > 0.0 and math.isfinite(r * r)):
-        raise PreconditionError(f"range r must be positive with a finite square, got {r}")
+    _check_range(r)
     opts = opts or SolverOptions()
     if not (opts.tol > 0.0 and math.isfinite(opts.tol)):
         raise PreconditionError(f"tol must be positive and finite, got {opts.tol}")
@@ -579,14 +566,14 @@ def shoot_heteroclinic(
     construction, and satisfies the recurrence to roundoff on the interior
     of its window.
 
-    A range whose square is not finite raises PreconditionError.  A W''(1)
-    that is not positive leaves no decaying tail and raises NoBracketError.
+    A range whose square is not finite or is below about 4.4e-303, as for
+    the solvers, raises PreconditionError.  A W''(1) that is not positive
+    leaves no decaying tail and raises NoBracketError.
     A K above horizon or MAX_K raises ConvergenceError before the window is
     built, and so does, after it, a descent that misses its EL target or a
     doubled window whose end is still not within tol.
     """
-    if not (r > 0.0 and math.isfinite(r * r)):
-        raise PreconditionError(f"range r must be positive with a finite square, got {r}")
+    _check_range(r)
     if symmetry not in ("node_odd", "bond_odd"):
         raise PreconditionError(f"symmetry must be node_odd or bond_odd, got {symmetry!r}")
     if not (0.0 < tol < 0.1):
@@ -600,8 +587,9 @@ def shoot_heteroclinic(
     if not curv > 0.0:
         raise NoBracketError(f"W''(1) = {curv:.3e} is not positive; no tail decays into +1")
     target = SHOOT_EL * max(1.0, r * r * curv)
-    # theta is 0 only when r * sqrt(W''(1)) underflows; no window can be long enough
-    K = max(2, math.ceil(math.log(8.0 / tol) / theta)) if theta > 0.0 else math.inf
+    # the estimate is infinite when theta underflows; no window can be long enough
+    span = math.log(8.0 / tol) / theta if theta > 0.0 else math.inf
+    K = max(2, math.ceil(span)) if span < math.inf else span
     for K in (K, 2 * K):
         if K > min(horizon, MAX_K):
             raise ConvergenceError(
@@ -639,14 +627,20 @@ def lift_profile(p: LatticeProfile, x_offset: float, h: float) -> SampledFunctio
 # ---------------------------------------------------------------------------
 
 
+def _check_bound_range(r: float) -> None:
+    """DomainError unless r is positive and finite and 4 / r is finite."""
+    if not (0.0 < r < math.inf and 4.0 / float(r) < math.inf):
+        raise DomainError(f"range r must be positive and finite with a finite 4/r, got {r}")
+
+
 def energy_upper_bounds(r: float, W: DoubleWell) -> EnergyUpperBounds:
     """The step bound 4/r, the well bound 4 + c_w, and the ramp bound.
 
     The ramp competitor (linear crossover of slope 1) needs r <= 1; for
-    larger r that entry is None.  binding names the smallest bound.
+    larger r that entry is None.  binding names the smallest bound.  A
+    range r whose 4/r is not finite raises DomainError.
     """
-    if not (r > 0.0 and math.isfinite(r)):
-        raise DomainError(f"range r must be positive and finite, got {r}")
+    _check_bound_range(r)
     four_over_r = 4.0 / r
     four_plus_cw = 4.0 + W.c_w
     ramp = 8.0 * r / 3.0 + 4.0 * (1.0 - r) + W.c_w if r <= 1.0 else None
@@ -657,10 +651,9 @@ def energy_upper_bounds(r: float, W: DoubleWell) -> EnergyUpperBounds:
     return EnergyUpperBounds(r, four_over_r, four_plus_cw, ramp, binding)
 
 
-def step_is_not_minimal(
-    r: float, W: DoubleWell, eps_grid: Optional[Sequence[float]] = None
-) -> WitnessReport:
-    """Scan eased steps v_eps and report the best improvement over the step.
+def step_is_not_minimal(r: float, W: DoubleWell) -> WitnessReport:
+    """Scan eased steps v_eps on the grid eps = 0, 1/400, ..., 1 and report
+    the best improvement over the step.
 
     v_eps takes the values -1, -(1-eps), 1-eps, 1 on the four bands
     split at -r, 0, r.  Its energy over any interval containing (-2r, 2r)
@@ -669,15 +662,11 @@ def step_is_not_minimal(
         E(v_eps) = 4/r + (2 eps^2 - 4 eps)/r + 2 r W(1 - eps),
 
     which dips below the step energy 4/r for small eps > 0 because W
-    vanishes at the wells.
+    vanishes at the wells.  A range r whose step energy 4/r is not finite
+    raises DomainError.
     """
-    if not (r > 0.0 and math.isfinite(r)):
-        raise DomainError(f"range r must be positive and finite, got {r}")
-    if eps_grid is None:
-        eps_grid = np.linspace(0.0, 1.0, 401)
-    eps = np.asarray(eps_grid, dtype=float)
-    if eps.ndim != 1 or eps.size == 0 or not np.all((eps >= 0.0) & (eps <= 1.0)):
-        raise PreconditionError("eps_grid must be a nonempty 1-d array inside [0, 1]")
+    _check_bound_range(r)
+    eps = np.linspace(0.0, 1.0, 401)
     base = 4.0 / r
     energies = base + (2.0 * eps * eps - 4.0 * eps) / r + 2.0 * r * eval_w_array(W, 1.0 - eps)
     best = int(np.argmin(energies))

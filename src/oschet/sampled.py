@@ -46,8 +46,8 @@ CSV_BLOCK = 1 << 14  # rows formatted per write: a large grid is never all strin
 
 def snap_count(r: float, h: float, what: str = "r") -> int:
     """Express r as a positive integer count of steps h, or fail loudly."""
-    t = r / h
-    k = int(round(t))
+    t = r / h if h else math.inf
+    k = int(round(t)) if math.isfinite(t) else 0
     if k < 1 or abs(t - k) > GRID_SNAP * max(1.0, abs(t)):
         raise DomainError(
             f"{what}={r} is not a positive integer multiple of the sample step h={h}"
@@ -187,8 +187,9 @@ def _integration_cells(u: SampledFunction, a: float, b: float, r: float, n_r: in
         raise DomainError(f"interval ({a}, {b}) must be longer than 2r = {2 * r}")
     ta = (a - u.x0) / u.h
     tb = (b - u.x0) / u.h
-    i_lo = int(math.ceil(ta - GRID_SNAP * max(1.0, abs(ta))))
-    i_hi = int(math.floor(tb + GRID_SNAP * max(1.0, abs(tb)))) - 1
+    # float until the coverage check has refused an infinite end
+    i_lo = np.ceil(ta - GRID_SNAP * max(1.0, abs(ta)))
+    i_hi = np.floor(tb + GRID_SNAP * max(1.0, abs(tb))) - 1
     if i_lo > i_hi:
         raise DomainError(f"no whole sample cell fits inside ({a}, {b})")
     if i_lo - n_r < 0 or i_hi + n_r > u.n - 1:
@@ -197,7 +198,7 @@ def _integration_cells(u: SampledFunction, a: float, b: float, r: float, n_r: in
             f"energy over ({a}, {b}) with r={r} needs samples on "
             f"[{a - r}, {b + r}] but u covers [{lo}, {hi})"
         )
-    return i_lo, i_hi
+    return int(i_lo), int(i_hi)
 
 
 def energy_E(

@@ -19,7 +19,13 @@ from oschet.dirichlet import (
     kunder,
     solve_dr_explicit,
 )
-from oschet.heteroclinic import shoot_heteroclinic
+from oschet.heteroclinic import (
+    SolverOptions,
+    _BoxProblem,
+    _descend,
+    discrete_energy,
+    shoot_heteroclinic,
+)
 from oschet.sampled import SampledFunction
 
 
@@ -274,28 +280,45 @@ def detect_jumps_loop(samples: SampledFunction, a: float, b: float):
     return locations, sizes
 
 
+def best_descent(K: int, r: float, W, symmetry: str, starts, budget: int) -> float:
+    """Oracle for the lattice minimizer: the lowest window energy that its
+    projected Newton descent reaches from any of starts.
+
+    Each start is clipped into the box and moved into the monotone cone,
+    where the minimizer's own kinks already lie, then descends to the
+    default tol with budget iterations of its own.
+    """
+    problem = _BoxProblem(K, r, W, symmetry)
+    best = np.inf
+    for start in starts:
+        z = np.clip(np.asarray(start, dtype=float), -1.0, 1.0)
+        moved = problem.into_cone(z, problem.objective(z))
+        z, _ = _descend(problem, z if moved is None else moved[0], SolverOptions().tol, budget)
+        prof = problem.profile(z)
+        best = min(best, discrete_energy(prof, W, prof.n_min, K))
+    return best
+
+
 def sorted_uniform_starts(rng: np.random.Generator, n: int, d: int) -> tuple:
     """Oracle starts for the lattice minimizer: n rows of d sorted uniform
-    draws on [-1, 1], to be passed as SolverOptions.extra_starts.  With the
-    default kink starts (two in a plain window, one in an odd one) and the
-    two off_centre_steps, 96 rows make a pool of 99 or 100 starts."""
+    draws on [-1, 1], to be passed to best_descent."""
     return tuple(np.sort(rng.uniform(-1.0, 1.0, d)) for _ in range(n))
 
 
 def off_centre_steps(d: int) -> tuple:
     """Oracle starts for the lattice minimizer: the steps from -1 to +1 at a
-    quarter and at three quarters of d free sites, to be passed as
-    SolverOptions.extra_starts.  The minimizer starts from the kink at the
-    window's centre instead."""
+    quarter and at three quarters of d free sites, to be passed to
+    best_descent.  The minimizer starts from the kink at the window's centre
+    instead."""
     q = (np.arange(d) + 0.5) / d
     return tuple(np.where(q <= edge, -1.0, 1.0) for edge in (0.25, 0.75))
 
 
 def ramp_and_centred_step(K: int, symmetry: str) -> tuple:
     """Oracle starts for the lattice minimizer, the two default starts that
-    the kink replaced, to be passed as SolverOptions.extra_starts: the ramp,
-    linear in the free sites from the left anchor to +1, and the step from
-    -1 to +1 at the centre of the free sites.
+    the kink replaced, to be passed to best_descent: the ramp, linear in the
+    free sites from the left anchor to +1, and the step from -1 to +1 at the
+    centre of the free sites.
 
     The anchor is w_0 = -1 for none and w_0 = 0 for node_odd, one site left
     of the first free site, and 0 at the bond half a site left of it for

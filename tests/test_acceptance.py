@@ -22,7 +22,6 @@ from oschet import (
     ClassicalHeteroclinic,
     DrProblem,
     SampledFunction,
-    SolverOptions,
     convergence_study,
     energy_E,
     energy_F,
@@ -59,38 +58,16 @@ def _verdict(tag: str, ok: bool, detail: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _free_vars(minimizer, flavor):
-    """Reduced coordinates of a symmetric minimizer (for warm starts)."""
-    K = -minimizer.n_min
-    vals = np.asarray(minimizer.values)
-    return vals[K + 1 : -1] if flavor == "node" else vals[K:-1]
-
-
 @pytest.fixture(scope="module")
 def sweep():
-    """(flavor, r, K) -> SolveReport over both symmetric families.
-
-    Each K is warm-started from the previous minimizer extended by 1.0 at
-    the newly freed site, alongside the default starts.
-    """
+    """(flavor, r, K) -> SolveReport over both symmetric families."""
     W = quartic()
-    out = {}
-    for r in R_SWEEP:
-        for flavor, solver in (
-            ("node", solve_symmetric_node),
-            ("bond", solve_symmetric_bond),
-        ):
-            prev = None
-            for K in K_SWEEP:
-                if prev is None:
-                    opts = SolverOptions()
-                else:
-                    warm = np.append(_free_vars(prev.minimizer, flavor), 1.0)
-                    opts = SolverOptions(extra_starts=(warm,))
-                rep = solver(K, r, W, opts)
-                out[(flavor, r, K)] = rep
-                prev = rep
-    return out
+    return {
+        (flavor, r, K): solver(K, r, W)
+        for r in R_SWEEP
+        for flavor, solver in (("node", solve_symmetric_node), ("bond", solve_symmetric_bond))
+        for K in K_SWEEP
+    }
 
 
 @pytest.fixture(scope="module")

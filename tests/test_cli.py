@@ -51,6 +51,9 @@ def test_bounds_ramp_is_null_for_large_r(capsys):
 
 def test_bounds_rejects_bad_r(capsys):
     assert run(["bounds", "--r", "-1"]) == 2
+    # 4/r overflows: the report would carry the non-standard JSON token Infinity
+    assert run(["bounds", "--r", "1e-320"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_solve_report_shape(capsys):
@@ -101,6 +104,22 @@ def test_solve_rejects_bad_solver_options(capsys, flags):
 def test_solve_refuses_a_range_whose_square_overflows(capsys):
     with time_limit(10):
         assert run(["solve-heteroclinic", "--K", "3", "--r", "1e160"]) == 2
+    assert "finite square" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-heteroclinic", "--K", "3", "--r", "1e-170"],
+        ["solve-heteroclinic", "--K", "3", "--r", "1e-160"],
+        ["shoot", "--r", "1e-320"],
+        ["shoot", "--r", "1e-300"],
+    ],
+)
+def test_a_range_whose_square_underflows_is_refused(capsys, argv):
+    # r^2 is 0 or subnormal: 1 / r^2 divides by zero or overflows
+    with time_limit(10):
+        assert run(argv) == 2
     assert "finite square" in capsys.readouterr().err
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    best_descent,
     forbid_large_arange,
     off_centre_steps,
     ramp_and_centred_step,
@@ -39,6 +40,8 @@ from oschet.potential import custom, eval_w, eval_w_array, pendulum, quartic
 from oschet.sampled import SampledFunction, energy_E, energy_F
 
 WELLS = {"quartic": quartic(), "pendulum": pendulum()}
+# a strongly inward derivative: W''(1) < 0, so no tail decays into the well
+INWARD_WELL = custom(lambda t: 5.0 - 5.0 * t * t, dw=lambda t: -10.0 * t)
 SOLVERS = {
     "none": solve_discrete_dirichlet,
     "node_odd": solve_symmetric_node,
@@ -114,28 +117,28 @@ def test_three_site_matches_dynamic_programming(r):
 
 
 def test_default_multistart_is_globally_stable():
-    # (well, solver, K, r, rng seed): the first two are the original 100-start
-    # pools; the last two are plain windows where the ramp, a default start
-    # before the kink, alone lost.  The pool is the default kink starts, the
+    # (well, symmetry, K, r, rng seed): the first two are the original
+    # 100-start pools; the last two are plain windows where the ramp, a
+    # default start before the kink, alone lost.  The oracle descends from the
     # two off-centre steps and 96 sorted random rows.
     cases = [
-        ("quartic", solve_discrete_dirichlet, 8, 0.5, 321),
-        ("quartic", solve_symmetric_bond, 6, 0.5, 77),
-        ("quartic", solve_symmetric_node, 8, 0.5, 5),
-        ("pendulum", solve_discrete_dirichlet, 8, 0.5, 6),
-        ("pendulum", solve_symmetric_node, 8, 0.5, 7),
-        ("pendulum", solve_symmetric_bond, 6, 0.5, 8),
-        ("quartic", solve_discrete_dirichlet, 5, 2.0, 9),
-        ("pendulum", solve_discrete_dirichlet, 3, 3.0, 10),
+        ("quartic", "none", 8, 0.5, 321),
+        ("quartic", "bond_odd", 6, 0.5, 77),
+        ("quartic", "node_odd", 8, 0.5, 5),
+        ("pendulum", "none", 8, 0.5, 6),
+        ("pendulum", "node_odd", 8, 0.5, 7),
+        ("pendulum", "bond_odd", 6, 0.5, 8),
+        ("quartic", "none", 5, 2.0, 9),
+        ("pendulum", "none", 3, 3.0, 10),
     ]
-    for name, solve, K, r, seed in cases:
+    for name, symmetry, K, r, seed in cases:
         W = WELLS[name]
-        d = K - (solve is not solve_discrete_dirichlet)
+        d = K - (symmetry != "none")
         fat_pool = sorted_uniform_starts(np.random.default_rng(seed), 96, d)
-        base = solve(K, r, W)
-        fat = solve(K, r, W, SolverOptions(extra_starts=off_centre_steps(d) + fat_pool))
-        assert base.converged and fat.converged
-        assert abs(base.value - fat.value) <= 1e-12 * abs(fat.value), (name, K, r)
+        base = SOLVERS[symmetry](K, r, W)
+        fat = best_descent(K, r, W, symmetry, off_centre_steps(d) + fat_pool, 100_000)
+        assert base.converged
+        assert base.value <= fat + 1e-12 * abs(fat), (name, K, r)
 
 
 @given(data=st.data())
@@ -144,32 +147,27 @@ def test_off_centre_steps_never_find_a_lower_value(data):
     # in a plain window the steps at a quarter and three quarters are
     # translates of the kink; the default starts must reach their value.
     # The budget caps a draw where a start creeps along the kink's lattice
-    # barrier; the default starts run first with the same budget in both
-    # solves.
+    # barrier.
     W = WELLS[data.draw(st.sampled_from(sorted(WELLS)))]
     K = data.draw(st.integers(1, 48))
     r = data.draw(st.floats(0.05, 5.0))
     base = solve_discrete_dirichlet(K, r, W, SolverOptions(max_iters=1000))
-    oracle = solve_discrete_dirichlet(
-        K, r, W, SolverOptions(max_iters=1000, extra_starts=off_centre_steps(K))
-    )
-    assert base.value <= oracle.value + 1e-12 * abs(oracle.value)
+    oracle = best_descent(K, r, W, "none", off_centre_steps(K), 1000)
+    assert base.value <= oracle + 1e-12 * abs(oracle)
 
 
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_ramp_and_centred_step_never_find_a_lower_value(data):
     # the kink replaced the ramp and the centred step as default starts;
-    # they stay as an oracle, run after the kink with the same capped budget
+    # they stay as an oracle, each with the same capped budget
     W = WELLS[data.draw(st.sampled_from(sorted(WELLS)))]
     symmetry = data.draw(st.sampled_from(sorted(SOLVERS)))
     K = data.draw(st.integers(1 + (symmetry != "none"), 48))
     r = data.draw(st.floats(0.05, 5.0))
-    solve = SOLVERS[symmetry]
-    base = solve(K, r, W, SolverOptions(max_iters=1000))
-    extra = ramp_and_centred_step(K, symmetry)
-    oracle = solve(K, r, W, SolverOptions(max_iters=1000, extra_starts=extra))
-    assert base.value <= oracle.value + 1e-12 * abs(oracle.value)
+    base = SOLVERS[symmetry](K, r, W, SolverOptions(max_iters=1000))
+    oracle = best_descent(K, r, W, symmetry, ramp_and_centred_step(K, symmetry), 1000)
+    assert base.value <= oracle + 1e-12 * abs(oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -233,18 +231,6 @@ def test_residuals_scale_like_the_recurrence():
     assert el_residual(report.minimizer, W) == report.el_residual
 
 
-def test_warm_start_is_accepted_and_used():
-    W = quartic()
-    base = solve_discrete_dirichlet(7, 0.5, W)
-    warm = solve_discrete_dirichlet(
-        7,
-        0.5,
-        W,
-        SolverOptions(extra_starts=(base.minimizer.values[1:-1],)),
-    )
-    assert abs(warm.value - base.value) < 1e-10
-
-
 def test_plain_window_converges_in_few_newton_iterations():
     # two starts share the count, each converging in tens of Newton steps
     report = solve_discrete_dirichlet(16, 0.5, quartic())
@@ -282,11 +268,9 @@ def test_start_with_indefinite_hessian_reaches_the_minimum():
     lap = 2 * np.eye(4) - np.eye(4, k=1) - np.eye(4, k=-1)
     assert np.max(np.linalg.eigvalsh(lap / r**2 - np.eye(4))) < 0.0
     base = solve_discrete_dirichlet(4, r, W)
-    from_zero = solve_discrete_dirichlet(
-        4, r, W, SolverOptions(extra_starts=(np.zeros(4),))
-    )
-    assert base.converged and from_zero.converged
-    assert abs(from_zero.value - base.value) < 1e-12
+    from_zero = best_descent(4, r, W, "none", (np.zeros(4),), 100_000)
+    assert base.converged
+    assert abs(from_zero - base.value) < 1e-12
 
 
 def test_large_window_still_converges():
@@ -338,12 +322,12 @@ def test_descent_scales_exactly_with_r_and_the_well(data):
     r = data.draw(st.floats(0.05, 2.0))
     problem = heteroclinic._BoxProblem(K, r, WELLS[name], symmetry)
     scaled = heteroclinic._BoxProblem(K, r / 2, FOUR_WELLS[name], symmetry)
-    opts = SolverOptions()
-    starts = problem.starts(opts)
-    assert [z.tobytes() for z in scaled.starts(opts)] == [z.tobytes() for z in starts]
+    tol = SolverOptions().tol
+    starts = problem.starts()
+    assert [z.tobytes() for z in scaled.starts()] == [z.tobytes() for z in starts]
     for start in starts:
-        z, used = heteroclinic._descend(problem, start, opts.tol, 500)
-        z4, used4 = heteroclinic._descend(scaled, start, opts.tol, 500)
+        z, used = heteroclinic._descend(problem, start, tol, 500)
+        z4, used4 = heteroclinic._descend(scaled, start, tol, 500)
         assert z4.tobytes() == z.tobytes() and used4 == used
         assert scaled.objective(z4) == 4.0 * problem.objective(z)
 
@@ -379,7 +363,7 @@ def test_rearrangement_never_raises_the_objective(data):
     assert problem.objective(problem.rearrange(z)) <= f + 1e-14 * abs(f)
 
 
-def test_solver_rejects_bad_arguments(monkeypatch):
+def test_solver_rejects_bad_arguments():
     W = quartic()
     with pytest.raises(PreconditionError):
         solve_discrete_dirichlet(0, 0.5, W)
@@ -402,11 +386,26 @@ def test_solver_rejects_bad_arguments(monkeypatch):
         with pytest.raises(ConvergenceError):
             solve(4, 0.5, W, SolverOptions(max_iters=0))
     assert solve_discrete_dirichlet(4, 0.5, W, SolverOptions(max_iters=np.int64(100))).converged
-    # a NaN start is refused before any descent runs
-    monkeypatch.setattr(heteroclinic, "_descend", None)
-    nan_row = np.array([-0.5, math.nan, 0.5, 1.0])
-    with pytest.raises(PreconditionError, match="NaN"):
-        solve_discrete_dirichlet(4, 0.5, W, SolverOptions(extra_starts=(nan_row,)))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_starts_are_distinct_monotone_points_of_the_box(data):
+    # the descent takes the starts as they are: no clip, no move into the
+    # monotone cone and no dedup stands between them; a well whose W''(1) is
+    # not positive has a flat kink, so a plain window gets it once
+    name = data.draw(st.sampled_from(sorted(WELLS) + ["inward"]))
+    W = WELLS.get(name, INWARD_WELL)
+    symmetry = data.draw(st.sampled_from(sorted(SOLVERS)))
+    K = data.draw(st.integers(1 + (symmetry != "none"), 200))
+    problem = heteroclinic._BoxProblem(K, data.draw(st.floats(0.05, 5.0)), W, symmetry)
+    starts = problem.starts()
+    assert len(starts) == 1 + (symmetry == "none" and name != "inward")
+    for z in starts:
+        assert z.shape == (problem.dim,)
+        assert np.array_equal(np.clip(z, -1.0, 1.0), z)
+        assert np.array_equal(problem.rearrange(z), z)
+    assert len({z.tobytes() for z in starts}) == len(starts)
 
 
 def test_window_size_is_capped_before_allocating(monkeypatch):
@@ -428,11 +427,25 @@ def test_a_range_whose_square_overflows_is_refused_without_hanging():
                 solve(3, 1e160, pendulum())
 
 
-def test_extra_start_shape_is_checked():
-    with pytest.raises(PreconditionError):
-        solve_discrete_dirichlet(
-            4, 0.5, quartic(), SolverOptions(extra_starts=(np.zeros(3),))
-        )
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_tiny_range_is_solved_or_refused_with_a_typed_error(data):
+    # r^2 underflows below about 1.5e-154, and below about 6.7e-152 the
+    # descent's sums of up to MAX_K terms of 8 / r^2 could overflow
+    W = WELLS[data.draw(st.sampled_from(sorted(WELLS)))]
+    symmetry = data.draw(st.sampled_from(sorted(SOLVERS)))
+    K = data.draw(st.integers(1 + (symmetry != "none"), 60))
+    r = 10.0 ** data.draw(st.floats(-320.0, -100.0))
+    with time_limit(10):
+        try:
+            report = SOLVERS[symmetry](K, r, W)
+        except PreconditionError as exc:
+            assert "finite square" in str(exc) and r < 1e-150
+        else:
+            assert report.converged
+        if symmetry != "none":
+            with pytest.raises((PreconditionError, ConvergenceError)):
+                shoot_heteroclinic(r, W, symmetry)
 
 
 # ---------------------------------------------------------------------------
@@ -536,9 +549,8 @@ def test_shooting_rejects_bad_arguments():
 
 def test_shooting_without_overshoot_reports_no_bracket():
     # a strongly inward derivative turns every orbit back before 1
-    W = custom(lambda t: 5.0 - 5.0 * t * t, dw=lambda t: -10.0 * t)
     with pytest.raises(NoBracketError):
-        shoot_heteroclinic(0.5, W)
+        shoot_heteroclinic(0.5, INWARD_WELL)
 
 
 # W''(1) of each built-in well, for the oracle's start
@@ -579,6 +591,14 @@ def test_shot_refuses_an_unreachable_window_before_building_it(monkeypatch):
     W = custom(lambda t: (1 - t * t) ** 4 / 4, lambda t: -2.0 * t * (1 - t * t) ** 3)
     with pytest.raises((ConvergenceError, NoBracketError)):
         shoot_heteroclinic(0.5, W)
+
+
+def test_shot_with_an_infinite_window_estimate_raises_convergence_error():
+    # W''(1) = 2e-313 puts theta near 3e-308, so ln(8 / tol) / theta is inf
+    c = 1e-313
+    W = custom(lambda t: c * (1 - t * t) ** 2 / 4, lambda t: c * (t**3 - t))
+    with pytest.raises(ConvergenceError, match="MAX_K"):
+        shoot_heteroclinic(7e-152, W)
 
 
 def test_shot_at_a_coarse_range_reaches_a_target_scaled_by_r_squared():
@@ -657,6 +677,10 @@ def test_lift_requires_commensurate_step():
     report = solve_discrete_dirichlet(2, 0.5, W)
     with pytest.raises(DomainError):
         lift_profile(report.minimizer, 0.0, 0.3)
+    # 2r / h overflows at a subnormal h, and h = 0 gives no ratio at all
+    for h in (1e-320, 0.0):
+        with pytest.raises(DomainError):
+            lift_profile(report.minimizer, 0.0, h)
 
 
 # ---------------------------------------------------------------------------
@@ -679,6 +703,19 @@ def test_witness_reports_the_exact_well_bound():
             report = step_is_not_minimal(r, W)
             assert report.four_plus_cw == 4.0 + W.c_w == energy_upper_bounds(r, W).four_plus_cw
             assert report.cw_bound_beats_step == (4.0 + W.c_w < 4.0 / r)
+
+
+def test_witness_and_bounds_refuse_a_range_whose_step_energy_overflows():
+    for r in (1e-320, 2e-308):
+        with pytest.raises(DomainError, match="4/r"):
+            step_is_not_minimal(r, quartic())
+        with pytest.raises(DomainError, match="4/r"):
+            energy_upper_bounds(r, quartic())
+    # just above the limit every energy of the scan stays finite
+    rep = step_is_not_minimal(2.3e-308, quartic())
+    assert math.isfinite(rep.step_energy) and math.isfinite(rep.best_energy)
+    assert rep.improves and rep.best_eps == 1.0
+    assert math.isfinite(energy_upper_bounds(2.3e-308, quartic()).four_over_r)
 
 
 def test_ramp_bound_disappears_for_large_r():
@@ -724,14 +761,6 @@ def test_witness_formula_matches_sampled_energy():
         sampled = energy_E(v, -1.5, 1.5, r, W).total
         formula = 4.0 / r + (2 * eps * eps - 4 * eps) / r + 2 * r * eval_w(W, 1 - eps)
         assert abs(sampled - formula) < 5e-3
-
-
-def test_witness_rejects_bad_grid():
-    with pytest.raises(PreconditionError):
-        step_is_not_minimal(0.5, quartic(), eps_grid=[0.5, 1.5])
-    # a NaN fails both range comparisons, and would come back as best_eps
-    with pytest.raises(PreconditionError):
-        step_is_not_minimal(0.5, quartic(), eps_grid=[0.1, math.nan])
 
 
 @given(r=st.floats(0.05, 1.5), s=st.floats(-0.999, 0.999))

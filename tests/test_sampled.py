@@ -260,6 +260,23 @@ def test_snap_count_accepts_near_multiples():
         snap_count(0.5001, 1e-3 * 7)
 
 
+def test_non_finite_ratios_raise_domain_error():
+    u = SampledFunction(0.0, 0.1, np.linspace(-1.0, 1.0, 100))
+    W = quartic()
+    calls = [
+        lambda: window_oscillation(u, math.inf),
+        lambda: window_oscillation(u, math.nan),
+        lambda: energy_E(u, 0.5, 4.0, math.nan, W),
+        lambda: energy_F(u, 0.5, 4.0, math.inf, W),
+        lambda: energy_E(u, 0.5, math.inf, 0.2, W),
+        lambda: energy_F(u, -math.inf, 4.0, 0.2, W),
+        lambda: snap_count(1.0, 0.0),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+
+
 def test_energy_needs_room_around_the_interval():
     u0 = step_function(h=1e-2, half=0.6)
     with pytest.raises(DomainError):
